@@ -18,11 +18,11 @@ from .identities import fuzz
 from .linalg import matrix_from_json_text, matrix_to_json, scalar_from_str, scalar_to_str
 from .permutations import Permutation
 from .positivity import (
+    CriterionReport,
     chamber_criterion,
     chamber_set_criterion,
     fekete_criterion,
     first_negative_minor,
-    is_tnn,
 )
 from .product_map import product
 from .render import isotopy_dot, render_ascii, render_svg
@@ -56,7 +56,7 @@ def _load_matrix(path):
 
 def _load_params(path):
     data = json.loads(_read_text(path))
-    if not isinstance(data, dict) or "t" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("t"), list):
         raise ValidationError('parameter file must be an object with a "t" list')
     return [scalar_from_str(item) for item in data["t"]]
 
@@ -118,18 +118,8 @@ def _cmd_check(args):
     x = _load_matrix(args.matrix)
     if args.mode == "all":
         witness = first_negative_minor(x)
-        report = {
-            "mode": "all",
-            "verdict": is_tnn(x),
-            "witness": None if witness is None else {
-                "rows": list(witness[0]),
-                "cols": list(witness[1]),
-                "value": scalar_to_str(witness[2]),
-            },
-        }
-        _emit(report)
-        return 0
-    if args.mode == "chamber":
+        report = CriterionReport(witness is None, witness)
+    elif args.mode == "chamber":
         if args.scheme is None:
             raise ValidationError("--mode chamber needs --scheme")
         report = chamber_criterion(parse_scheme(args.scheme), x)

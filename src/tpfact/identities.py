@@ -239,6 +239,8 @@ def fuzz(n, trials, seed):
     """
     if n < 3:
         raise PreconditionViolated("need n >= 3 for three-term instances")
+    if trials < 0:
+        raise PreconditionViolated(f"trials must be >= 0, got {trials}")
     failures = []
     for idx in range(trials):
         rng = random.Random(seed * 1_000_003 + idx)

@@ -11,13 +11,16 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import IndexOutOfRange, NotInG0, Singular, SizeMismatch
+from .errors import (IndexOutOfRange, NotInG0, Singular, SizeMismatch,
+                     ValidationError)
 
 Scalar = Fraction
 
 
 def scalar_from_str(text):
     """Parse "p" or "p/q" into a Fraction."""
+    if not isinstance(text, str):
+        raise ValidationError(f"rational literal {text!r} is not a string")
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -97,14 +100,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(scalar_to_str(e) for e in row) for row in self.rows)
         return f"Matrix[{body}]"
-
-
-def multiply(a, b):
-    return a * b
-
-
-def transpose(x):
-    return x.transpose()
 
 
 def minor(x, row_set, col_set):
@@ -199,6 +194,9 @@ def matrix_from_json(data):
     if not isinstance(data, dict) or "entries" not in data:
         raise SizeMismatch("matrix JSON must be an object with an 'entries' field")
     entries = data["entries"]
+    if not isinstance(entries, list) or not all(
+            isinstance(row, list) for row in entries):
+        raise SizeMismatch("matrix 'entries' must be a list of rows")
     x = Matrix([[scalar_from_str(e) for e in row] for row in entries])
     if "n" in data and data["n"] != x.n:
         raise SizeMismatch(f"declared size {data['n']} != actual size {x.n}")

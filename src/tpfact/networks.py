@@ -13,7 +13,9 @@ of vertex-disjoint path families.  Both are computed by one sweep over
 the fragments that moves a set of tokens along the wires: a diagonal
 may be taken only when its target wire is free, which is exactly the
 vertex-disjointness constraint, and token order is preserved, so
-every family is counted once with coefficient 1.
+every family is counted once with coefficient 1.  The symbolic forms
+sweep with Polynomial weights; evaluate_network, and so product, sweeps
+one token per row with Fraction weights.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArityMismatch, IndexOutOfRange, SizeMismatch
-from .linalg import Matrix, check_index_set, scalar_to_str
-from .schemes import E, F, H
+from .linalg import Matrix, check_index_set
+from .schemes import E, H
 
 
 class Polynomial:
@@ -158,37 +160,41 @@ class PlanarNetwork:
         self.n = scheme.n
         self.nvars = scheme.length
 
-    def _sweep(self, sources, sinks):
-        """Token-set sweep; returns the family-weight Polynomial."""
-        nvars = self.nvars
-        start = frozenset(sources)
-        states = {start: Polynomial.constant(nvars, 1)}
-        for k, sym in enumerate(self.scheme.word, start=1):
-            nxt = {}
 
-            def add(state, poly):
-                if state in nxt:
-                    nxt[state] = nxt[state] + poly
-                else:
-                    nxt[state] = poly
+def sweep(word, sources, one, scale):
+    """Token-set sweep of the network of word, starting at sources.
 
-            for state, poly in states.items():
-                if sym.kind == H:
-                    if sym.index in state:
-                        add(state, poly.times_variable(k))
-                    else:
-                        add(state, poly)
-                    continue
-                add(state, poly)
-                if sym.kind == E:
-                    src, dst = sym.index, sym.index + 1
-                else:
-                    src, dst = sym.index + 1, sym.index
-                if src in state and dst not in state:
-                    moved = frozenset(state - {src} | {dst})
-                    add(moved, poly.times_variable(k))
-            states = nxt
-        return states.get(frozenset(sinks), Polynomial(nvars))
+    Returns a dict mapping each reachable set of sink wires to the total
+    weight of the vertex-disjoint path families that end there.  The
+    empty family weighs `one`; `scale(weight, k)` multiplies a weight by
+    the weight of the edge of symbol k (1-based), so the weights may be
+    polynomials or numbers.
+    """
+    states = {frozenset(sources): one}
+    for k, sym in enumerate(word, start=1):
+        if sym.kind == H:
+            states = {state: scale(w, k) if sym.index in state else w
+                      for state, w in states.items()}
+            continue
+        if sym.kind == E:
+            src, dst = sym.index, sym.index + 1
+        else:
+            src, dst = sym.index + 1, sym.index
+        nxt = {}
+        for state, w in states.items():
+            nxt[state] = nxt[state] + w if state in nxt else w
+            if src in state and dst not in state:
+                moved = state - {src} | {dst}
+                w = scale(w, k)
+                nxt[moved] = nxt[moved] + w if moved in nxt else w
+        states = nxt
+    return states
+
+
+def _symbolic(network, sources, sinks):
+    one = Polynomial.constant(network.nvars, 1)
+    ends = sweep(network.scheme.word, sources, one, Polynomial.times_variable)
+    return ends.get(frozenset(sinks), Polynomial(network.nvars))
 
 
 def build_network(scheme):
@@ -200,7 +206,7 @@ def symbolic_entry(network, i, j):
     n = network.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexOutOfRange(f"entry ({i}, {j}) outside [1, {n}]^2")
-    return network._sweep((i,), (j,))
+    return _symbolic(network, (i,), (j,))
 
 
 def symbolic_minor(network, row_set, col_set):
@@ -212,15 +218,27 @@ def symbolic_minor(network, row_set, col_set):
             f"row set size {len(rows)} != column set size {len(cols)}")
     if not rows:
         return Polynomial.constant(network.nvars, 1)
-    return network._sweep(rows, cols)
+    return _symbolic(network, rows, cols)
 
 
 def evaluate_network(network, values):
-    """Numeric product matrix, one path-sum evaluation per entry."""
+    """Numeric product matrix: one sweep per row, with Fraction weights.
+
+    The sweep from source i carries one token, and its final states are
+    the singletons {j} weighted by entry (i, j).
+    """
     values = [Fraction(v) for v in values]
     if len(values) != network.nvars:
         raise ArityMismatch(
             f"{len(values)} parameters for a length-{network.nvars} scheme")
-    n = network.n
-    return Matrix([[symbolic_entry(network, i, j).evaluate(values)
-                    for j in range(1, n + 1)] for i in range(1, n + 1)])
+    n, word = network.n, network.scheme.word
+    one, zero = Fraction(1), Fraction(0)
+
+    def scale(w, k):
+        return w * values[k - 1]
+
+    rows = []
+    for i in range(1, n + 1):
+        ends = sweep(word, (i,), one, scale)
+        rows.append([ends.get(frozenset((j,)), zero) for j in range(1, n + 1)])
+    return Matrix(rows)

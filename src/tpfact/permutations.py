@@ -96,6 +96,29 @@ class Permutation:
         line = self.oneline
         return [i for i in range(1, self.n) if line[i - 1] > line[i]]
 
+    def lex_min_reduced_word(self):
+        """The lexicographically smallest reduced word, as a tuple.
+
+        Its first letter is the smallest i for which value i+1 stands
+        before value i; swapping those two values (s_i on the left)
+        leaves a permutation one shorter, whose smallest word follows.
+        The swap can create a new such i only at i-1, so the scan
+        resumes there.
+        """
+        where = [0] * (self.n + 1)
+        for p, a in enumerate(self.oneline):
+            where[a] = p
+        word = []
+        i = 1
+        while i < self.n:
+            if where[i + 1] < where[i]:
+                where[i], where[i + 1] = where[i + 1], where[i]
+                word.append(i)
+                i = max(i - 1, 1)
+            else:
+                i += 1
+        return tuple(word)
+
     def reduced_words(self):
         """All reduced words, as a frozenset of tuples of letters.
 

@@ -29,7 +29,7 @@ def _all_index_pairs(n):
 
 def is_tnn(x):
     """Totally nonnegative: every minor of every order is >= 0."""
-    return all(minor(x, rows, cols) >= 0 for rows, cols in _all_index_pairs(x.n))
+    return first_negative_minor(x) is None
 
 
 def is_tp(x):
@@ -38,6 +38,7 @@ def is_tp(x):
 
 
 def first_negative_minor(x):
+    """(rows, cols, value) of the first negative minor, by order, or None."""
     for rows, cols in _all_index_pairs(x.n):
         value = minor(x, rows, cols)
         if value < 0:
@@ -132,13 +133,6 @@ def fekete_families(n):
     return family1, family2
 
 
-def _lex_min_longest_word(n):
-    word = []
-    for j in range(1, n):
-        word.extend(range(j, 0, -1))
-    return word
-
-
 def fekete_scheme(n, variant):
     """Schemes whose chamber families are the two interval criteria.
 
@@ -148,7 +142,7 @@ def fekete_scheme(n, variant):
     immediately by its barred twin.  Bullets go at the end; the
     chamber family does not depend on where they sit.
     """
-    word = _lex_min_longest_word(n)
+    word = Permutation.longest_element(n).lex_min_reduced_word()
     symbols = []
     if variant == 1:
         symbols += [SchemeSymbol(E, i) for i in word]

@@ -4,7 +4,9 @@ An e<i> symbol with parameter t contributes I + t E_{i,i+1}, an f<i>
 symbol I + t E_{i+1,i}, and an h<j> symbol the diagonal matrix that
 multiplies the jth coordinate by t (so its parameter must be nonzero).
 The product map sends a parameter vector to the product of these
-factors in word order.
+factors in word order.  It is computed as path sums in the scheme's
+planar network, which equal the entries of that product; elementary()
+builds the factors themselves.
 """
 
 from __future__ import annotations
@@ -13,43 +15,49 @@ from fractions import Fraction
 
 from .errors import ArityMismatch, BadToken, ZeroDiagonal
 from .linalg import Matrix
-from .schemes import E, F, H, FactorizationScheme, SchemeSymbol
+from .networks import build_network, evaluate_network
+from .schemes import E, F, H, FactorizationScheme
+
+
+def _check_symbol(n, symbol, t):
+    """Reject a symbol that names no elementary matrix of GL_n at t."""
+    if symbol.kind not in (E, F, H):
+        raise BadToken(f"unknown symbol kind {symbol.kind!r}")
+    top = n if symbol.kind == H else n - 1
+    if not 1 <= symbol.index <= top:
+        raise BadToken(f"{symbol.token} invalid for n={n}")
+    if symbol.kind == H and t == 0:
+        raise ZeroDiagonal(f"{symbol.token} requires a nonzero parameter")
 
 
 def elementary(n, symbol, t):
     """The elementary Jacobi matrix of one scheme symbol."""
     t = Fraction(t)
+    _check_symbol(n, symbol, t)
     rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     i = symbol.index
     if symbol.kind == E:
-        if not 1 <= i <= n - 1:
-            raise BadToken(f"{symbol.token} invalid for n={n}")
         rows[i - 1][i] = t
     elif symbol.kind == F:
-        if not 1 <= i <= n - 1:
-            raise BadToken(f"{symbol.token} invalid for n={n}")
         rows[i][i - 1] = t
-    elif symbol.kind == H:
-        if not 1 <= i <= n:
-            raise BadToken(f"{symbol.token} invalid for n={n}")
-        if t == 0:
-            raise ZeroDiagonal(f"{symbol.token} requires a nonzero parameter")
-        rows[i - 1][i - 1] = t
     else:
-        raise BadToken(f"unknown symbol kind {symbol.kind!r}")
+        rows[i - 1][i - 1] = t
     return Matrix(rows)
 
 
 def product(scheme, values):
-    """Multiply out the scheme at the given parameter vector."""
+    """Multiply out the scheme at the given parameter vector.
+
+    Checks each symbol as elementary() does, then reads the product off
+    the scheme's planar network (evaluate_network).
+    """
     values = [Fraction(v) for v in values]
     if len(values) != scheme.length:
         raise ArityMismatch(
             f"{len(values)} parameters for a length-{scheme.length} scheme")
-    result = Matrix.identity(scheme.n)
     for sym, t in zip(scheme.word, values):
-        result = result * elementary(scheme.n, sym, t)
-    return result
+        _check_symbol(scheme.n, sym, t)
+    return evaluate_network(build_network(scheme), values)
 
 
 def commute_h(scheme, values, position):

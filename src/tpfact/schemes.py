@@ -235,13 +235,6 @@ class Arrangement:
     def chambers_at_level(self, level):
         return list(self._by_level.get(level, []))
 
-    def chamber_spanning(self, level, position):
-        """The level chamber whose open span contains the given position."""
-        for c in self._by_level[level]:
-            if c.start < position < c.end:
-                return c
-        raise KeyError((level, position))
-
     def crossing_lines(self, position):
         """Labels of the two pseudolines meeting at an E/F crossing."""
         sym = self.scheme.word[position - 1]
@@ -410,8 +403,8 @@ class IsotopyGraph:
 def seed_scheme(u, v):
     """Some scheme of type (u, v): e-part, then f-part, then h1..hn."""
     n = u.n
-    e_word = min(v.reduced_words())
-    f_word = min(u.reduced_words())
+    e_word = v.lex_min_reduced_word()
+    f_word = u.lex_min_reduced_word()
     word = ([SchemeSymbol(E, i) for i in e_word]
             + [SchemeSymbol(F, i) for i in f_word]
             + [SchemeSymbol(H, j) for j in range(1, n + 1)])

@@ -13,48 +13,14 @@ the twist for that cell; it preserves total nonnegativity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bruhat import double_cell_of
 from .errors import DecompositionFailure, NotInG0, WrongCell
 from .linalg import Matrix, inverse, ldu_decompose
-from .permutations import Permutation, signed_representative
+from .permutations import signed_representative
 
 
 def alternating_diagonal(n):
     return Matrix.diagonal([(-1) ** i for i in range(n)])
-
-
-@dataclass(frozen=True)
-class TwistContext:
-    """Fixed ingredients of the twist for one double cell."""
-
-    u: Permutation
-    v: Permutation
-    ubar: Matrix = field(init=False)
-    vibar: Matrix = field(init=False)
-    d0: Matrix = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ubar", signed_representative(self.u))
-        object.__setattr__(self, "vibar",
-                           signed_representative(self.v.inverse()))
-        object.__setattr__(self, "d0", alternating_diagonal(self.u.n))
-
-
-def _unit_upper_factor(z):
-    try:
-        _, _, upper = ldu_decompose(z)
-    except NotInG0 as exc:
-        raise DecompositionFailure(f"no Gaussian decomposition: {exc}") from exc
-    return upper
-
-def _unit_lower_factor(z):
-    try:
-        lower, _, _ = ldu_decompose(z)
-    except NotInG0 as exc:
-        raise DecompositionFailure(f"no Gaussian decomposition: {exc}") from exc
-    return lower
 
 
 def twist(x, u, v):
@@ -64,12 +30,17 @@ def twist(x, u, v):
         raise WrongCell(
             f"matrix lies in the double cell of ({cell[0]}, {cell[1]}), "
             f"not ({u}, {v})")
-    ctx = TwistContext(u, v)
+    ubar = signed_representative(u)
+    vibar = signed_representative(v.inverse())
     xt = x.transpose()
-    left = _unit_upper_factor(xt * ctx.ubar)
-    right = _unit_lower_factor(ctx.vibar.transpose() * xt)
-    middle = ctx.ubar.transpose() * inverse(xt) * ctx.vibar
-    return ctx.d0 * left * middle * right * inverse(ctx.d0)
+    try:
+        _, _, left = ldu_decompose(xt * ubar)
+        right, _, _ = ldu_decompose(vibar.transpose() * xt)
+    except NotInG0 as exc:
+        raise DecompositionFailure(f"no Gaussian decomposition: {exc}") from exc
+    middle = ubar.transpose() * inverse(xt) * vibar
+    d0 = alternating_diagonal(x.n)  # +-1 on the diagonal: its own inverse
+    return d0 * left * middle * right * d0
 
 
 def twist_roundtrip(x, u, v):

@@ -30,7 +30,7 @@ from tpfact.positivity import (
     is_tnn,
     is_tp,
 )
-from tpfact.product_map import product
+from tpfact.product_map import elementary, product
 from tpfact.schemes import (
     SchemeSymbol,
     FactorizationScheme,
@@ -214,7 +214,10 @@ def test_criterion_05_oracle_equivalence():
             sch = random_scheme(u, v, rng)
             net = build_network(sch)
             vals = nonzero_vals(sch.length, rng)
-            x = product(sch, vals)
+            x = Matrix.identity(n)
+            for sym, t in zip(sch.word, vals):
+                x = x * elementary(n, sym, t)
+            assert product(sch, vals) == x
             assert evaluate_network(net, vals) == x
             for _ in range(4):
                 k = rng.randint(1, n)

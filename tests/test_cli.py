@@ -3,6 +3,8 @@ import json
 import pytest
 
 from tpfact.cli import main
+from tpfact.linalg import Matrix
+from tpfact.positivity import first_negative_minor
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
 
@@ -66,6 +68,9 @@ def test_check_modes(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["verdict"] is False
+    rows, cols, value = first_negative_minor(Matrix([[1, 2], [3, 4]]))
+    assert report["witness"] == {"rows": list(rows), "cols": list(cols),
+                                 "value": str(value)}
     assert report["witness"]["value"].startswith("-")
 
     code, out = run(capsys, "check", "--matrix", good,
@@ -127,6 +132,25 @@ def test_exit_codes(tmp_path, capsys):
     singular = write_matrix(tmp_path, "sing.json", 2, [["1", "1"], ["1", "1"]])
     assert main(["cell", "--matrix", singular]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["cell", "--matrix", "-"], {"entries": [[5, 2], [2, 1]]}),
+    (["cell", "--matrix", "-"], {"entries": 5}),
+    (["product", "--scheme", "h1 f1 h2 e1", "--params", "-"],
+     {"t": [1, 2, 3, 4]}),
+    (["product", "--scheme", "h1 f1 h2 e1", "--params", "-"], {"t": "1234"}),
+    (["fuzz", "--n", "4", "--trials", "-5"], None),
+], ids=["numeric-entries", "entries-scalar", "numeric-params",
+        "params-not-a-list", "fuzz-negative-trials"])
+def test_malformed_input_exits_2(argv, stdin, capsys, monkeypatch):
+    import io
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO("" if stdin is None else json.dumps(stdin)))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_stdin_matrix(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tpfact.errors import ArityMismatch
-from tpfact.linalg import minor
+from tpfact.linalg import Matrix, minor
 from tpfact.networks import (
     Polynomial,
     build_network,
@@ -14,7 +14,7 @@ from tpfact.networks import (
     symbolic_minor,
 )
 from tpfact.permutations import Permutation
-from tpfact.product_map import product
+from tpfact.product_map import elementary, product
 from tpfact.schemes import parse_scheme, seed_scheme
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
@@ -75,6 +75,14 @@ def minor_by_path_families(scheme, rows, cols, values):
     return total
 
 
+def elementary_product(scheme, values):
+    # reference: the ordered product of the elementary matrices
+    x = Matrix.identity(scheme.n)
+    for sym, t in zip(scheme.word, values):
+        x = x * elementary(scheme.n, sym, t)
+    return x
+
+
 def rand_vals(length, rng):
     return [Fraction(rng.randint(1, 9), rng.randint(1, 5))
             for _ in range(length)]
@@ -123,7 +131,9 @@ def test_network_evaluation_equals_product():
         net = build_network(sch)
         for _ in range(5):
             vals = rand_vals(sch.length, rng)
-            assert evaluate_network(net, vals) == product(sch, vals)
+            reference = elementary_product(sch, vals)
+            assert evaluate_network(net, vals) == reference
+            assert product(sch, vals) == reference
 
 
 def test_symbolic_minor_equals_determinant_minor():

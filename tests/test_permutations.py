@@ -79,9 +79,18 @@ def test_apply_sorts_image():
 def test_reduced_words_against_brute_force():
     for w in all_permutations(3):
         assert sorted(w.reduced_words()) == brute_reduced_words(w)
+        assert w.lex_min_reduced_word() == brute_reduced_words(w)[0]
     for s in ("4231", "4321"):
         w = Permutation.from_string(s)
         assert sorted(w.reduced_words()) == brute_reduced_words(w)
+        assert w.lex_min_reduced_word() == brute_reduced_words(w)[0]
+    for n in (1, 2, 4, 5):
+        for w in all_permutations(n):
+            assert w.lex_min_reduced_word() == min(w.reduced_words())
+    for n in range(2, 9):
+        # 1, 21, 321, ...: the lex-min word of the longest element
+        expected = tuple(i for j in range(1, n) for i in range(j, 0, -1))
+        assert Permutation.longest_element(n).lex_min_reduced_word() == expected
 
 
 def test_reduced_word_counts():

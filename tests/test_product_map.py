@@ -6,7 +6,7 @@ import pytest
 from tpfact.errors import ArityMismatch, BadToken, ZeroDiagonal
 from tpfact.linalg import Matrix
 from tpfact.product_map import commute_h, elementary, product
-from tpfact.schemes import SchemeSymbol, parse_scheme
+from tpfact.schemes import FactorizationScheme, SchemeSymbol, parse_scheme
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
 
@@ -37,6 +37,13 @@ def test_product_arity():
     sch = parse_scheme("h1 f1 h2 e1")
     with pytest.raises(ArityMismatch):
         product(sch, [Fraction(1)] * 3)
+    with pytest.raises(ZeroDiagonal):
+        product(sch, [Fraction(1), Fraction(2), Fraction(0), Fraction(3)])
+    # a raw scheme skips validation, so product must reject the level
+    raw = FactorizationScheme(2, (SchemeSymbol("H", 1), SchemeSymbol("E", 2),
+                                  SchemeSymbol("H", 2)))
+    with pytest.raises(BadToken):
+        product(raw, [Fraction(1)] * 3)
 
 
 def rand_vals(length, rng):

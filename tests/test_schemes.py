@@ -245,6 +245,11 @@ def test_seed_scheme_every_s3_cell():
         for v in all_permutations(3):
             sch = seed_scheme(u, v)
             assert sch.cell_type == (u, v)
+    # the open GL_7 cell: 21 + 21 crossings, too many words to enumerate
+    w0 = Permutation.longest_element(7)
+    sch = seed_scheme(w0, w0)
+    assert sch.cell_type == (w0, w0)
+    assert sch.e_subword == sch.f_subword == w0.lex_min_reduced_word()
 
 
 def test_enumerate_gl2_open_cell():
