@@ -198,8 +198,12 @@ def matrix_from_json(data):
             isinstance(row, list) for row in entries):
         raise SizeMismatch("matrix 'entries' must be a list of rows")
     x = Matrix([[scalar_from_str(e) for e in row] for row in entries])
-    if "n" in data and data["n"] != x.n:
-        raise SizeMismatch(f"declared size {data['n']} != actual size {x.n}")
+    if "n" in data:
+        declared = data["n"]
+        if not isinstance(declared, int) or isinstance(declared, bool):
+            raise SizeMismatch(f"declared size {declared!r} is not an integer")
+        if declared != x.n:
+            raise SizeMismatch(f"declared size {declared} != actual size {x.n}")
     return x
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (BadHPart, BadToken, MoveNotApplicable, NotReducedE,
                      NotReducedF)
@@ -31,8 +32,7 @@ E, F, H = "E", "F", "H"
 _TOKEN_RE = re.compile(r"([efh])(\d+)$")
 
 
-@dataclass(frozen=True)
-class SchemeSymbol:
+class SchemeSymbol(NamedTuple):
     kind: str  # one of E, F, H
     index: int
 
@@ -178,6 +178,49 @@ class Chamber:
         return (self.row_set, self.col_set)
 
 
+def _line_states(n, word):
+    """Line labels at heights 1..n at every word position 0..l.
+
+    One forward sweep over the E-crossings and one backward sweep over
+    the F-crossings: E-lines start as 1..n at the left border, F-lines
+    end as 1..n at the right border.
+    """
+    state = list(range(1, n + 1))
+    e_states = [tuple(state)]
+    for kind, i in word:
+        if kind == E:
+            state[i - 1], state[i] = state[i], state[i - 1]
+        e_states.append(tuple(state))
+    state = list(range(1, n + 1))
+    f_states = [tuple(state)]
+    for kind, i in reversed(word):
+        if kind == F:
+            state[i - 1], state[i] = state[i], state[i - 1]
+        f_states.append(tuple(state))
+    f_states.reverse()
+    return e_states, f_states
+
+
+def _chamber_sets(word, e_states, f_states):
+    """(level, start, I, J) for every chamber of the arrangement.
+
+    The bottom (level 0) and top (level n) chambers span the strip.  A
+    level-k chamber with 0 < k < n starts at the left border or just
+    right of a level-k crossing; I and J are the sorted labels of the
+    lowest k F-lines and E-lines there.  The border chambers come first,
+    then the level-k chambers starting at the left border by level,
+    then one chamber per crossing in word order.
+    """
+    full = e_states[0]
+    n = len(full)
+    starts = [(k, 0) for k in range(1, n)]
+    starts += [(i, p) for p, (kind, i) in enumerate(word, 1) if kind != H]
+    chambers = [(0, 0, (), ()), (n, 0, full, full)]
+    chambers += [(k, a, tuple(sorted(f_states[a][:k])),
+                  tuple(sorted(e_states[a][:k]))) for k, a in starts]
+    return chambers
+
+
 class Arrangement:
     """The double pseudoline arrangement of a scheme.
 
@@ -189,47 +232,28 @@ class Arrangement:
     def __init__(self, scheme):
         self.scheme = scheme
         self.n = scheme.n
-        l = scheme.length
-        states = [tuple(range(1, self.n + 1))]
-        for sym in scheme.word:
-            cur = list(states[-1])
-            if sym.kind == E:
-                i = sym.index
-                cur[i - 1], cur[i] = cur[i], cur[i - 1]
-            states.append(tuple(cur))
-        self.e_states = states
-        rstates = [tuple(range(1, self.n + 1))]
-        for sym in reversed(scheme.word):
-            cur = list(rstates[-1])
-            if sym.kind == F:
-                i = sym.index
-                cur[i - 1], cur[i] = cur[i], cur[i - 1]
-            rstates.append(tuple(cur))
-        self.f_states = rstates[::-1]
+        self.e_states, self.f_states = _line_states(scheme.n, scheme.word)
         self.chambers = self._build_chambers()
         self._by_level = {}
         for c in self.chambers:
             self._by_level.setdefault(c.level, []).append(c)
 
     def _build_chambers(self):
-        scheme = self.scheme
-        l = scheme.length
+        word = self.scheme.word
+        l = len(word)
+        runs = {}
+        for level, start, row_set, col_set in _chamber_sets(
+                word, self.e_states, self.f_states):
+            runs.setdefault(level, []).append((start, row_set, col_set))
         chambers = []
-        full = tuple(range(1, self.n + 1))
-        chambers.append(Chamber(0, 0, l + 1, E, F, (), ()))
-        for level in range(1, self.n):
-            cuts = [p for p in range(1, l + 1)
-                    if scheme.word[p - 1].kind in (E, F)
-                    and scheme.word[p - 1].index == level]
-            bounds = [0] + cuts + [l + 1]
-            for a, b in zip(bounds, bounds[1:]):
-                left_kind = E if a == 0 else scheme.word[a - 1].kind
-                right_kind = F if b == l + 1 else scheme.word[b - 1].kind
-                row_set = tuple(sorted(self.f_states[a][:level]))
-                col_set = tuple(sorted(self.e_states[a][:level]))
+        for level in sorted(runs):
+            run = runs[level]
+            ends = [start for start, _, _ in run[1:]] + [l + 1]
+            for (a, row_set, col_set), b in zip(run, ends):
+                left_kind = E if a == 0 else word[a - 1].kind
+                right_kind = F if b == l + 1 else word[b - 1].kind
                 chambers.append(
                     Chamber(level, a, b, left_kind, right_kind, row_set, col_set))
-        chambers.append(Chamber(self.n, 0, l + 1, E, F, full, full))
         return chambers
 
     def chambers_at_level(self, level):
@@ -284,8 +308,9 @@ def chamber_minor_family(scheme):
 
 def isotopy_key(scheme):
     """Sorted multiset of chamber set pairs; equal keys mean isotopic."""
-    arr = build_arrangement(scheme)
-    return tuple(sorted(c.sets for c in arr.chambers))
+    e_states, f_states = _line_states(scheme.n, scheme.word)
+    return tuple(sorted((row_set, col_set) for _, _, row_set, col_set
+                        in _chamber_sets(scheme.word, e_states, f_states)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,27 +342,32 @@ def _mixed2_ok(a, b):
     return {a.kind, b.kind} == {E, F} and a.index == b.index
 
 
+def _moved_word(word, move):
+    """The word after a move that is known to apply to it."""
+    p = move.position
+    if move.kind == BRAID3:
+        a, b = word[p - 1], word[p]
+        return word[:p - 1] + (b, a, b) + word[p + 2:]
+    return word[:p - 1] + (word[p], word[p - 1]) + word[p + 1:]
+
+
 def apply_move(scheme, move):
     """Apply a move, returning a new scheme of the same type."""
-    word = list(scheme.word)
+    word = tuple(scheme.word)
     p = move.position
     if move.kind == TRIVIAL2:
         if not (1 <= p <= len(word) - 1 and _trivial2_ok(word[p - 1], word[p])):
             raise MoveNotApplicable(f"trivial2 at {p} does not apply")
-        word[p - 1], word[p] = word[p], word[p - 1]
     elif move.kind == MIXED2:
         if not (1 <= p <= len(word) - 1 and _mixed2_ok(word[p - 1], word[p])):
             raise MoveNotApplicable(f"mixed2 at {p} does not apply")
-        word[p - 1], word[p] = word[p], word[p - 1]
     elif move.kind == BRAID3:
         if not (1 <= p <= len(word) - 2
                 and _braid3_ok(word[p - 1], word[p], word[p + 1])):
             raise MoveNotApplicable(f"braid3 at {p} does not apply")
-        a, b = word[p - 1], word[p]
-        word[p - 1], word[p], word[p + 1] = b, a, b
     else:
         raise MoveNotApplicable(f"unknown move kind {move.kind!r}")
-    return FactorizationScheme(scheme.n, tuple(word))
+    return FactorizationScheme(scheme.n, _moved_word(word, move))
 
 
 def available_moves(scheme):
@@ -373,18 +403,16 @@ class IsotopyGraph:
         self.nodes = nodes  # list of IsotopyNode, sorted by key
         self.edges = edges  # set of (i, j) index pairs, i < j
         self._index = {node.key: k for k, node in enumerate(nodes)}
+        self._adjacent = [set() for _ in nodes]
+        for i, j in edges:
+            self._adjacent[i].add(j)
+            self._adjacent[j].add(i)
 
     def index_of(self, key):
         return self._index[key]
 
     def neighbors(self, k):
-        out = set()
-        for i, j in self.edges:
-            if i == k:
-                out.add(j)
-            elif j == k:
-                out.add(i)
-        return out
+        return set(self._adjacent[k])
 
     def is_connected(self):
         if not self.nodes:
@@ -393,7 +421,7 @@ class IsotopyGraph:
         frontier = [0]
         while frontier:
             k = frontier.pop()
-            for m in self.neighbors(k):
+            for m in self._adjacent[k]:
                 if m not in seen:
                     seen.add(m)
                     frontier.append(m)
@@ -421,18 +449,18 @@ def enumerate_isotopy_types(u, v):
     if u.n != v.n:
         raise BadToken("u and v must have the same size")
     start = seed_scheme(u, v)
-    word_keys = {}
+    word_keys = {}  # word -> its class's key, the object held in key_info
     key_info = {}
     edges = set()
 
     def key_of(scheme):
-        key = word_keys.get(scheme.word)
-        if key is None:
-            key = isotopy_key(scheme)
-            word_keys[scheme.word] = key
-            if key not in key_info:
-                key_info[key] = (sorted(chamber_minor_family(scheme)), scheme)
-        return key
+        key = isotopy_key(scheme)
+        info = key_info.get(key)
+        if info is None:
+            info = key_info[key] = (
+                key, sorted(chamber_minor_family(scheme)), scheme)
+        word_keys[scheme.word] = info[0]
+        return info[0]
 
     key_of(start)
     frontier = [start]
@@ -440,15 +468,16 @@ def enumerate_isotopy_types(u, v):
         scheme = frontier.pop()
         key = word_keys[scheme.word]
         for move in available_moves(scheme):
-            neighbor = apply_move(scheme, move)
-            fresh = neighbor.word not in word_keys
-            nkey = key_of(neighbor)
-            if move.kind in (BRAID3, MIXED2) and nkey != key:
-                edges.add(frozenset((key, nkey)))
-            if fresh:
+            word = _moved_word(scheme.word, move)
+            nkey = word_keys.get(word)
+            if nkey is None:
+                neighbor = FactorizationScheme(u.n, word)
+                nkey = key_of(neighbor)
                 frontier.append(neighbor)
+            if move.kind != TRIVIAL2 and nkey is not key:
+                edges.add(frozenset((key, nkey)))
     nodes = [IsotopyNode(key, tuple(fam), sch)
-             for key, (fam, sch) in sorted(key_info.items())]
+             for key, fam, sch in sorted(key_info.values())]
     index = {node.key: k for k, node in enumerate(nodes)}
     edge_idx = {tuple(sorted((index[a], index[b]))) for a, b in
                 (tuple(e) for e in edges)}

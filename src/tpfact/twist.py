@@ -14,7 +14,7 @@ the twist for that cell; it preserves total nonnegativity.
 from __future__ import annotations
 
 from .bruhat import double_cell_of
-from .errors import DecompositionFailure, NotInG0, WrongCell
+from .errors import DecompositionFailure, NotInG0, SizeMismatch, WrongCell
 from .linalg import Matrix, inverse, ldu_decompose
 from .permutations import signed_representative
 
@@ -25,6 +25,8 @@ def alternating_diagonal(n):
 
 def twist(x, u, v):
     """Twist x, which must lie in the double cell of (u, v)."""
+    if x.n != u.n or u.n != v.n:
+        raise SizeMismatch("matrix and permutations must share one size")
     cell = double_cell_of(x)
     if cell != (u, v):
         raise WrongCell(

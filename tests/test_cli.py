@@ -141,8 +141,13 @@ def test_exit_codes(tmp_path, capsys):
      {"t": [1, 2, 3, 4]}),
     (["product", "--scheme", "h1 f1 h2 e1", "--params", "-"], {"t": "1234"}),
     (["fuzz", "--n", "4", "--trials", "-5"], None),
+    (["cell", "--matrix", "-"], {"n": "2", "entries": [["5", "2"], ["2", "1"]]}),
+    (["cell", "--matrix", "-"], {"n": True, "entries": [["1"]]}),
+    (["twist", "--matrix", "-", "--u", "21", "--v", "321"],
+     {"n": 2, "entries": [["5", "2"], ["2", "1"]]}),
 ], ids=["numeric-entries", "entries-scalar", "numeric-params",
-        "params-not-a-list", "fuzz-negative-trials"])
+        "params-not-a-list", "fuzz-negative-trials", "size-string",
+        "size-bool", "twist-wrong-size"])
 def test_malformed_input_exits_2(argv, stdin, capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin",

@@ -162,5 +162,9 @@ def test_json_rejects_bad_shapes():
         matrix_from_json({"n": 3, "entries": [["1"]]})
     with pytest.raises(ValidationError):
         matrix_from_json_text("[1, 2]")
+    with pytest.raises(ValidationError, match="'2' is not an integer"):
+        matrix_from_json({"n": "2", "entries": [["5", "2"], ["2", "1"]]})
+    with pytest.raises(ValidationError, match="True is not an integer"):
+        matrix_from_json({"n": True, "entries": [["1"]]})
     # size field is optional when it agrees with the entries
     assert matrix_from_json({"entries": [["5"]]}).entry(1, 1) == 5

@@ -12,9 +12,11 @@ from tpfact.errors import (
 )
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.schemes import (
+    BRAID3,
     E,
     F,
     H,
+    MIXED2,
     FactorizationScheme,
     Move,
     SchemeSymbol,
@@ -54,6 +56,50 @@ def all_schemes_of_type(u, v):
                                 word[p] = SchemeSymbol(H, next(hs))
                         out.append(FactorizationScheme.make(n, tuple(word)))
     return out
+
+
+def reference_key(scheme):
+    # the isotopy key read off a full arrangement
+    return tuple(sorted(c.sets for c in build_arrangement(scheme).chambers))
+
+
+def reference_enumerate(u, v):
+    # the move-graph walk that builds a scheme for every neighbour and keys
+    # it through build_arrangement; returns the nodes as (key, family,
+    # scheme text) and the edges as index pairs
+    start = seed_scheme(u, v)
+    word_keys = {}
+    key_info = {}
+    edges = set()
+
+    def key_of(scheme):
+        key = word_keys.get(scheme.word)
+        if key is None:
+            key = reference_key(scheme)
+            word_keys[scheme.word] = key
+            if key not in key_info:
+                key_info[key] = (sorted(chamber_minor_family(scheme)), scheme)
+        return key
+
+    key_of(start)
+    frontier = [start]
+    while frontier:
+        scheme = frontier.pop()
+        key = word_keys[scheme.word]
+        for move in available_moves(scheme):
+            neighbor = apply_move(scheme, move)
+            fresh = neighbor.word not in word_keys
+            nkey = key_of(neighbor)
+            if move.kind in (BRAID3, MIXED2) and nkey != key:
+                edges.add(frozenset((key, nkey)))
+            if fresh:
+                frontier.append(neighbor)
+    nodes = [(key, tuple(fam), str(sch))
+             for key, (fam, sch) in sorted(key_info.items())]
+    index = {node[0]: k for k, node in enumerate(nodes)}
+    edge_idx = {tuple(sorted((index[a], index[b]))) for a, b in
+                (tuple(e) for e in edges)}
+    return nodes, edge_idx
 
 
 def scheme_count(u, v):
@@ -291,8 +337,18 @@ def test_enumerate_matches_shuffle_oracle_open_gl3():
     w0 = Permutation.longest_element(3)
     schemes = all_schemes_of_type(w0, w0)
     assert len(schemes) == scheme_count(w0, w0) == 40320
-    keys = {isotopy_key(s) for s in schemes}
+    keys = [isotopy_key(s) for s in schemes]
+    assert keys == [reference_key(s) for s in schemes]
     graph = enumerate_isotopy_types(w0, w0)
-    assert len(keys) == 34
-    assert {node.key for node in graph.nodes} == keys
+    assert len(set(keys)) == 34
+    assert {node.key for node in graph.nodes} == set(keys)
     assert graph.is_connected()
+
+
+def test_enumerate_matches_reference_walk_every_gl3_cell():
+    for u in all_permutations(3):
+        for v in all_permutations(3):
+            graph = enumerate_isotopy_types(u, v)
+            nodes = [(node.key, node.family, str(node.scheme))
+                     for node in graph.nodes]
+            assert (nodes, graph.edges) == reference_enumerate(u, v)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tpfact.bruhat import double_cell_of
-from tpfact.errors import WrongCell
+from tpfact.errors import SizeMismatch, WrongCell
 from tpfact.linalg import Matrix, det, minor
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.positivity import is_tnn
@@ -143,3 +143,13 @@ def test_twist_wrong_cell():
     w0 = Permutation.from_string("21")
     with pytest.raises(WrongCell):
         twist(Matrix.identity(2), w0, w0)
+
+
+def test_twist_wrong_size():
+    # permutations of another size are malformed input, not a wrong cell
+    x = mat([[5, 2], [2, 1]])
+    u, v = Permutation.from_string("21"), Permutation.from_string("321")
+    with pytest.raises(SizeMismatch):
+        twist(x, u, v)
+    with pytest.raises(SizeMismatch):
+        twist(x, v, v)
