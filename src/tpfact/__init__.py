@@ -13,7 +13,6 @@ from .identities import (
 )
 from .linalg import (
     Matrix,
-    Scalar,
     det,
     inverse,
     ldu_decompose,

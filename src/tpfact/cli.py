@@ -65,6 +65,15 @@ def _perm(text):
     return Permutation.from_string(text)
 
 
+def _cell(args, x):
+    """The double cell named by --u and --v, else the one x lies in."""
+    if args.u is None and args.v is None:
+        return double_cell_of(x)
+    if args.u is None or args.v is None:
+        raise ValidationError("provide both --u and --v or neither")
+    return _perm(args.u), _perm(args.v)
+
+
 def _emit(payload):
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -97,13 +106,7 @@ def _cmd_product(args):
 
 def _cmd_twist(args):
     x = _load_matrix(args.matrix)
-    if args.u is not None or args.v is not None:
-        if args.u is None or args.v is None:
-            raise ValidationError("provide both --u and --v or neither")
-        u, v = _perm(args.u), _perm(args.v)
-    else:
-        u, v = double_cell_of(x)
-    _emit(matrix_to_json(twist(x, u, v)))
+    _emit(matrix_to_json(twist(x, *_cell(args, x))))
     return 0
 
 
@@ -124,13 +127,7 @@ def _cmd_check(args):
             raise ValidationError("--mode chamber needs --scheme")
         report = chamber_criterion(parse_scheme(args.scheme), x)
     elif args.mode == "chamberset":
-        if args.u is not None or args.v is not None:
-            if args.u is None or args.v is None:
-                raise ValidationError("provide both --u and --v or neither")
-            u, v = _perm(args.u), _perm(args.v)
-        else:
-            u, v = double_cell_of(x)
-        report = chamber_set_criterion(u, v, x)
+        report = chamber_set_criterion(*_cell(args, x), x)
     elif args.mode == "fekete1":
         report = fekete_criterion(x, 1)
     else:

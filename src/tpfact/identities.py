@@ -31,6 +31,12 @@ def _sorted_union(*parts):
     return tuple(sorted(out))
 
 
+def _products_add_up(x, groups):
+    """lhs = rhs1 + rhs2 on x, each term a product of two minors."""
+    lhs, rhs1, rhs2 = (minor(x, *a) * minor(x, *b) for a, b in groups)
+    return lhs == rhs1 + rhs2
+
+
 def plucker_terms(I, L, i, j, k, p, transposed=False):
     """The six (rows, cols) pairs of the three-term identity.
 
@@ -58,9 +64,7 @@ def plucker_terms(I, L, i, j, k, p, transposed=False):
 
 def check_plucker(x, I, L, i, j, k, p, transposed=False):
     """Verify the three-term identity exactly on x."""
-    groups = plucker_terms(I, L, i, j, k, p, transposed)
-    vals = [[minor(x, rows, cols) for rows, cols in group] for group in groups]
-    return vals[0][0] * vals[0][1] == vals[1][0] * vals[1][1] + vals[2][0] * vals[2][1]
+    return _products_add_up(x, plucker_terms(I, L, i, j, k, p, transposed))
 
 
 def dodgson_terms(I, J, i, ip, j, jp):
@@ -82,9 +86,7 @@ def dodgson_terms(I, J, i, ip, j, jp):
 
 def check_dodgson(x, I, J, i, ip, j, jp):
     """Verify the Dodgson condensation identity exactly on x."""
-    groups = dodgson_terms(I, J, i, ip, j, jp)
-    vals = [[minor(x, rows, cols) for rows, cols in group] for group in groups]
-    return vals[0][0] * vals[0][1] == vals[1][0] * vals[1][1] + vals[2][0] * vals[2][1]
+    return _products_add_up(x, dodgson_terms(I, J, i, ip, j, jp))
 
 
 @dataclass(frozen=True)
@@ -98,10 +100,7 @@ class ExchangeCertificate:
     rhs2: tuple
 
     def holds_on(self, x):
-        def value(group):
-            a, b = group
-            return minor(x, *a) * minor(x, *b)
-        return value(self.lhs) == value(self.rhs1) + value(self.rhs2)
+        return _products_add_up(x, (self.lhs, self.rhs1, self.rhs2))
 
 
 def _match_dodgson(a, b):

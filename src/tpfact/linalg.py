@@ -14,8 +14,6 @@ from fractions import Fraction
 from .errors import (IndexOutOfRange, NotInG0, Singular, SizeMismatch,
                      ValidationError)
 
-Scalar = Fraction
-
 
 def scalar_from_str(text):
     """Parse "p" or "p/q" into a Fraction."""

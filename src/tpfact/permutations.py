@@ -11,8 +11,6 @@ from __future__ import annotations
 from .errors import IndexOutOfRange, ValidationError
 from .linalg import Matrix
 
-_words_cache = {}
-
 
 class Permutation:
     __slots__ = ("oneline",)
@@ -54,11 +52,13 @@ class Permutation:
     def from_string(cls, text):
         """Parse "4312" (single digits) or "10,3,1,2,...,4" forms."""
         text = text.strip()
-        if "," in text:
-            return cls(int(p) for p in text.split(","))
-        if not text.isdigit():
+        try:
+            oneline = [int(p) for p in (text.split(",") if "," in text else text)]
+        except ValueError:
+            oneline = None
+        if not oneline:
             raise ValidationError(f"bad permutation literal {text!r}")
-        return cls(int(ch) for ch in text)
+        return cls(oneline)
 
     @property
     def n(self):
@@ -92,10 +92,6 @@ class Permutation:
         return sum(1 for i in range(self.n) for j in range(i + 1, self.n)
                    if line[i] > line[j])
 
-    def right_descents(self):
-        line = self.oneline
-        return [i for i in range(1, self.n) if line[i - 1] > line[i]]
-
     def lex_min_reduced_word(self):
         """The lexicographically smallest reduced word, as a tuple.
 
@@ -119,27 +115,6 @@ class Permutation:
                 i += 1
         return tuple(word)
 
-    def reduced_words(self):
-        """All reduced words, as a frozenset of tuples of letters.
-
-        Depth-first search through length-decreasing simple reflections;
-        memoized, so repeated queries across a session are cheap.
-        """
-        cached = _words_cache.get(self.oneline)
-        if cached is not None:
-            return cached
-        if self.length() == 0:
-            words = frozenset({()})
-        else:
-            words = set()
-            for i in self.right_descents():
-                shorter = self * Permutation.simple(self.n, i)
-                for word in shorter.reduced_words():
-                    words.add(word + (i,))
-            words = frozenset(words)
-        _words_cache[self.oneline] = words
-        return words
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.oneline == other.oneline
 
@@ -159,13 +134,6 @@ def is_reduced(word, w):
     """Does the word multiply out to w with no cancellation?"""
     word = tuple(word)
     return Permutation.from_word(w.n, word) == w and len(word) == w.length()
-
-
-def weak_order_leq(wp, w):
-    """Left weak order: wp precedes w iff lengths add along wp^-1 w."""
-    if wp.n != w.n:
-        raise ValidationError("permutations must have the same size")
-    return w.length() == wp.length() + (wp.inverse() * w).length()
 
 
 def signed_representative(w):

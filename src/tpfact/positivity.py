@@ -207,16 +207,13 @@ def gl3_criteria_catalog():
     w0 = Permutation.longest_element(3)
     graph = enumerate_isotopy_types(w0, w0)
     common = set(GL3_COMMON_MINORS)
-    codes = []
+    entries = []
     for node in graph.nodes:
         family = set(node.family)
         bounded = tuple(sorted(family - common))
-        codes.append(_gl3_code(bounded))
+        entries.append((_gl3_code(bounded), tuple(sorted(family)), bounded))
     catalog = {}
-    for k, node in enumerate(graph.nodes):
-        family = set(node.family)
-        bounded = tuple(sorted(family - common))
-        neighbors = tuple(sorted(codes[m] for m in graph.neighbors(k)))
-        catalog[codes[k]] = CatalogEntry(codes[k], tuple(sorted(family)),
-                                         bounded, neighbors)
+    for k, (code, family, bounded) in enumerate(entries):
+        neighbors = tuple(sorted(entries[m][0] for m in graph.neighbors(k)))
+        catalog[code] = CatalogEntry(code, family, bounded, neighbors)
     return catalog

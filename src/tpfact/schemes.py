@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import (BadHPart, BadToken, MoveNotApplicable, NotReducedE,
                      NotReducedF)
-from .permutations import Permutation, is_reduced
+from .permutations import Permutation
 
 E, F, H = "E", "F", "H"
 
@@ -78,12 +78,10 @@ class FactorizationScheme:
         if sorted(h_indices) != list(range(1, n + 1)):
             raise BadHPart(
                 f"h-part {h_indices} is not a permutation of 1..{n}")
-        e_word = self.e_subword
-        if not is_reduced(e_word, Permutation.from_word(n, e_word)):
-            raise NotReducedE(f"e-subword {e_word} is not reduced")
-        f_word = self.f_subword
-        if not is_reduced(f_word, Permutation.from_word(n, f_word)):
-            raise NotReducedF(f"f-subword {f_word} is not reduced")
+        for name, word, error in (("e", self.e_subword, NotReducedE),
+                                  ("f", self.f_subword, NotReducedF)):
+            if len(word) != Permutation.from_word(n, word).length():
+                raise error(f"{name}-subword {word} is not reduced")
 
     @property
     def length(self):
@@ -96,10 +94,6 @@ class FactorizationScheme:
     @property
     def f_subword(self):
         return tuple(s.index for s in self.word if s.kind == F)
-
-    @property
-    def h_order(self):
-        return tuple(s.index for s in self.word if s.kind == H)
 
     @property
     def u(self):
@@ -402,14 +396,10 @@ class IsotopyGraph:
     def __init__(self, nodes, edges):
         self.nodes = nodes  # list of IsotopyNode, sorted by key
         self.edges = edges  # set of (i, j) index pairs, i < j
-        self._index = {node.key: k for k, node in enumerate(nodes)}
         self._adjacent = [set() for _ in nodes]
         for i, j in edges:
             self._adjacent[i].add(j)
             self._adjacent[j].add(i)
-
-    def index_of(self, key):
-        return self._index[key]
 
     def neighbors(self, k):
         return set(self._adjacent[k])

@@ -1,52 +1,38 @@
 """Recovering factorization parameters from chamber minors.
 
 All formulas here evaluate minors of the twisted matrix x' at the
-unmodified chamber sets (I(C), J(C)) of the scheme's arrangement.
+unmodified chamber sets (I(C), J(C)) of the scheme's arrangement, each
+once.  Per level, with chambers c_0..c_m left to right and minors
+D_0..D_m, keep the prefix products P_0 = 1 and P_{j+1} = P_j * D_j,
+P_j / D_j or P_j for an FE-, EF- or other chamber c_j; Pi_level is
+P_{m+1}.
 
 For a parameter sitting on the bullet of line i the answer is the
-ratio Pi_i / Pi_{i-1}, where Pi_i multiplies the FE-chambers of level
-i and divides by the EF-chambers.
+ratio Pi_i / Pi_{i-1}.
 
 For a parameter at an E- or F-crossing of level i, look at the four
-big chambers of the crossing's own pseudoline family around it: above
-(level i+1), below (level i-1), left and right (level i).  Each big
-chamber contributes a Laurent monomial taken from one of its two ends;
-which end is dictated by the bullets of lines i+1 (for the upper pair
-above/left) and i (for the lower pair below/right): a bullet to the
-right of the crossing selects the left-end monomial and vice versa.
+big chambers (maximal intervals free of crossings of the crossing's
+own kind) around it: above (level i+1), below (level i-1), left and
+right (level i).  Each contributes a Laurent monomial read off one of
+its two ends; the bullet of line i+1 picks the end for the upper pair
+(above/left) and the bullet of line i for the lower pair
+(below/right): the end facing away from the bullet.  With s = +1 for
+E and -1 for F, the right end anchored at c_j is D_j (Pi / P_{j+1})^s,
+the left end D_j P_j^-s; the anchor's own minor drops out when the
+anchor ends at the right border (E) or starts at the left border (F).
 The parameter is then (above * below) / (left * right).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ZeroMinor, ZeroParameter
 from .linalg import minor
-from .schemes import E, F, H, build_arrangement
+from .schemes import E, H, build_arrangement
 from .twist import twist
 
-
-@dataclass(frozen=True)
-class BigChamber:
-    """Maximal crossing-free interval of one pseudoline family."""
-
-    kind: str  # E or F
-    level: int
-    start: int
-    end: int
-
-
-def big_chambers(arrangement, kind, level):
-    """Big chambers of the given family at one level, left to right."""
-    scheme = arrangement.scheme
-    l = scheme.length
-    cuts = [p for p in range(1, l + 1)
-            if scheme.word[p - 1].kind == kind
-            and scheme.word[p - 1].index == level]
-    bounds = [0] + cuts + [l + 1]
-    return [BigChamber(kind, level, a, b) for a, b in zip(bounds, bounds[1:])]
+_SIGMA = {"FE": 1, "EF": -1}
 
 
 def chamber_minor(xprime, chamber):
@@ -59,101 +45,57 @@ def chamber_minor(xprime, chamber):
     return value
 
 
-def pi_monomial(arrangement, xprime, level):
-    """The level monomial Pi_level(x'); Pi_0 is 1."""
-    if level == 0:
-        return Fraction(1)
-    value = Fraction(1)
-    for c in arrangement.chambers_at_level(level):
-        if c.type == "FE":
-            value *= chamber_minor(xprime, c)
-        elif c.type == "EF":
-            value /= chamber_minor(xprime, c)
-    return value
-
-
-def big_chamber_monomial(arrangement, xprime, big, side):
-    """The left- or right-end Laurent monomial of a big chamber.
-
-    Taking the right end: start from the minor of the small chamber
-    finishing at the big chamber's right boundary, then for every small
-    chamber of the same level strictly to the right multiply when its
-    type is (other kind)(own kind) and divide when it is the reverse.
-    The starting minor is replaced by 1 when an E-family big chamber
-    reaches the right border; mirror everything for the left end, with
-    the exemption there applying to the F-family at the left border.
-    """
-    own, other = big.kind, (E if big.kind == F else F)
-    small = arrangement.chambers_at_level(big.level)
-    value = Fraction(1)
-    if side == "right":
-        anchor = next(c for c in small if c.end == big.end)
-        if not (own == E and anchor.end == arrangement.scheme.length + 1):
-            value *= chamber_minor(xprime, anchor)
-        for c in small:
-            if c.start >= big.end:
-                if c.type == other + own:
-                    value *= chamber_minor(xprime, c)
-                elif c.type == own + other:
-                    value /= chamber_minor(xprime, c)
-    elif side == "left":
-        anchor = next(c for c in small if c.start == big.start)
-        if not (own == F and anchor.start == 0):
-            value *= chamber_minor(xprime, anchor)
-        for c in small:
-            if c.end <= big.start:
-                if c.type == own + other:
-                    value *= chamber_minor(xprime, c)
-                elif c.type == other + own:
-                    value /= chamber_minor(xprime, c)
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return value
-
-
-def _surrounding_big_chambers(arrangement, position):
-    """Above, below, left, right big chambers of a crossing."""
-    sym = arrangement.scheme.word[position - 1]
-    level = sym.index
-    above = next(b for b in big_chambers(arrangement, sym.kind, level + 1)
-                 if b.start < position < b.end)
-    below = next(b for b in big_chambers(arrangement, sym.kind, level - 1)
-                 if b.start < position < b.end)
-    same = big_chambers(arrangement, sym.kind, level)
-    left = next(b for b in same if b.end == position)
-    right = next(b for b in same if b.start == position)
-    return above, below, left, right
-
-
 def solve(scheme, x):
     """Invert the product map: parameters of x along the scheme.
 
     x must lie in the double cell of the scheme's type and be generic
     enough that every chamber minor of its twist is nonzero, which
     holds on the whole image of the product map over nonzero
-    parameters.
+    parameters.  Every parameter is a ratio of products of those
+    minors, so none comes out zero.
     """
     u, v = scheme.cell_type
     xprime = twist(x, u, v)
     arrangement = build_arrangement(scheme)
-    values = []
-    for position, sym in enumerate(scheme.word, start=1):
-        if sym.kind == H:
-            t = (pi_monomial(arrangement, xprime, sym.index)
-                 / pi_monomial(arrangement, xprime, sym.index - 1))
+    # per level: chambers, their minors and the prefix products
+    table = []
+    for level in range(scheme.n + 1):
+        chambers = arrangement.chambers_at_level(level)
+        deltas = [chamber_minor(xprime, c) if level else Fraction(1)
+                  for c in chambers]
+        prefix = [Fraction(1)]
+        for c, d in zip(chambers, deltas):
+            prefix.append(prefix[-1] * d ** _SIGMA.get(c.type, 0))
+        table.append((chambers, deltas, prefix))
+
+    def end(kind, level, point, bullet):
+        """End monomial of the big chamber around a point, away from a bullet.
+
+        point and bullet are doubled word positions, so a point
+        just left or right of the crossing at p is 2p - 1 or 2p + 1.
+        """
+        chambers, deltas, prefix = table[level]
+        s = 1 if kind == E else -1
+        if bullet > point:
+            j = max(k for k, c in enumerate(chambers) if 2 * c.start < point
+                    and (c.left_kind == kind or c.start == 0))
+            value, anchored = prefix[j] ** -s, chambers[j].left_kind == kind
         else:
-            above, below, left, right = _surrounding_big_chambers(
-                arrangement, position)
-            upper_side = ("left" if scheme.h_position(sym.index + 1) > position
-                          else "right")
-            lower_side = ("left" if scheme.h_position(sym.index) > position
-                          else "right")
-            t = (big_chamber_monomial(arrangement, xprime, above, upper_side)
-                 * big_chamber_monomial(arrangement, xprime, below, lower_side)
-                 / big_chamber_monomial(arrangement, xprime, left, upper_side)
-                 / big_chamber_monomial(arrangement, xprime, right, lower_side))
-        if t == 0:
-            raise ZeroParameter(f"parameter at position {position} came out zero")
+            j = next(k for k, c in enumerate(chambers) if 2 * c.end > point
+                     and (c.right_kind == kind or c.end == scheme.length + 1))
+            value = (prefix[-1] / prefix[j + 1]) ** s
+            anchored = chambers[j].right_kind == kind
+        return value * deltas[j] if anchored else value
+
+    values = []
+    for position, (kind, i) in enumerate(scheme.word, start=1):
+        if kind == H:
+            t = table[i][2][-1] / table[i - 1][2][-1]
+        else:
+            p, upper, lower = (2 * position, 2 * scheme.h_position(i + 1),
+                               2 * scheme.h_position(i))
+            t = (end(kind, i + 1, p, upper) * end(kind, i - 1, p, lower)
+                 / (end(kind, i, p - 1, upper) * end(kind, i, p + 1, lower)))
         values.append(t)
     return values
 

@@ -9,6 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from reference import reduced_words
 from tpfact.bruhat import bruhat_cell_of, double_cell_of, in_bruhat_cell
 from tpfact.linalg import Matrix, det, minor
 from tpfact.networks import (
@@ -71,8 +72,8 @@ def nonzero_vals(length, rng):
 def random_scheme(u, v, rng):
     """A uniformly shuffled scheme of type (u, v)."""
     n = u.n
-    e_words = sorted(v.reduced_words())
-    f_words = sorted(u.reduced_words())
+    e_words = sorted(reduced_words(v))
+    f_words = sorted(reduced_words(u))
     ew = e_words[rng.randrange(len(e_words))]
     fw = f_words[rng.randrange(len(f_words))]
     horder = list(range(1, n + 1))

@@ -145,9 +145,17 @@ def test_exit_codes(tmp_path, capsys):
     (["cell", "--matrix", "-"], {"n": True, "entries": [["1"]]}),
     (["twist", "--matrix", "-", "--u", "21", "--v", "321"],
      {"n": 2, "entries": [["5", "2"], ["2", "1"]]}),
+    (["enumerate", "--u", "2,1,", "--v", "21"], None),
+    (["enumerate", "--u", "21", "--v", "\u00b21"], None),
+    (["twist", "--matrix", "-", "--u", "2,x", "--v", "21"],
+     {"n": 2, "entries": [["5", "2"], ["2", "1"]]}),
+    (["check", "--matrix", "-", "--mode", "chamberset", "--u", "1,,2",
+      "--v", "21"], {"n": 2, "entries": [["5", "2"], ["2", "1"]]}),
 ], ids=["numeric-entries", "entries-scalar", "numeric-params",
         "params-not-a-list", "fuzz-negative-trials", "size-string",
-        "size-bool", "twist-wrong-size"])
+        "size-bool", "twist-wrong-size", "enumerate-empty-part",
+        "enumerate-superscript-digit", "twist-non-numeric-part",
+        "chamberset-empty-part"])
 def test_malformed_input_exits_2(argv, stdin, capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin",

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from reference import reduced_words
 from tpfact.errors import (
     BadHPart,
     BadToken,
@@ -39,8 +40,8 @@ def all_schemes_of_type(u, v):
     le, lf = v.length(), u.length()
     l = n + le + lf
     out = []
-    for ew in sorted(v.reduced_words()):
-        for fw in sorted(u.reduced_words()):
+    for ew in sorted(reduced_words(v)):
+        for fw in sorted(reduced_words(u)):
             for horder in itertools.permutations(range(1, n + 1)):
                 for epos in itertools.combinations(range(l), le):
                     rest = [p for p in range(l) if p not in set(epos)]
@@ -107,7 +108,7 @@ def scheme_count(u, v):
     l = n + le + lf
     shuffles = (math.factorial(l)
                 // (math.factorial(le) * math.factorial(lf) * math.factorial(n)))
-    return (len(v.reduced_words()) * len(u.reduced_words())
+    return (len(reduced_words(v)) * len(reduced_words(u))
             * math.factorial(n) * shuffles)
 
 

@@ -3,18 +3,26 @@ from fractions import Fraction
 
 import pytest
 
-from tpfact.errors import WrongCell, ZeroMinor
-from tpfact.linalg import det, minor
-from tpfact.permutations import Permutation, all_permutations
-from tpfact.product_map import product
-from tpfact.schemes import build_arrangement, parse_scheme, seed_scheme
-from tpfact.solver import (
+import tpfact.solver
+from reference import (
     big_chamber_monomial,
     big_chambers,
-    chamber_values_from_parameters,
     pi_monomial,
-    solve,
+    reference_solve,
 )
+from tpfact.bruhat import double_cell_of
+from tpfact.errors import DecompositionFailure, WrongCell, ZeroMinor
+from tpfact.linalg import Matrix, det, minor
+from tpfact.permutations import Permutation, all_permutations
+from tpfact.product_map import product
+from tpfact.schemes import (
+    apply_move,
+    available_moves,
+    build_arrangement,
+    parse_scheme,
+    seed_scheme,
+)
+from tpfact.solver import chamber_values_from_parameters, solve
 from tpfact.twist import twist
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
@@ -199,3 +207,106 @@ def test_inverse_ansatz_other_schemes():
             xp = twist(product(sch, t), u, v)
             for chamber, val in chamber_values_from_parameters(sch, t).items():
                 assert minor(xp, chamber.row_set, chamber.col_set) == val
+
+
+def random_walk(scheme, steps, rng):
+    for _ in range(steps):
+        scheme = apply_move(scheme, rng.choice(available_moves(scheme)))
+    return scheme
+
+
+def outcome(fn, scheme, x):
+    try:
+        return fn(scheme, x)
+    except (ZeroMinor, WrongCell, DecompositionFailure) as exc:
+        return type(exc)
+
+
+def chamber_minors_nonzero(scheme, x):
+    try:
+        xp = twist(x, *scheme.cell_type)
+    except (WrongCell, DecompositionFailure):
+        return False
+    return all(minor(xp, c.row_set, c.col_set) != 0
+               for c in build_arrangement(scheme).chambers)
+
+
+def assert_agrees_with_reference(scheme, x):
+    got = outcome(solve, scheme, x)
+    assert got == outcome(reference_solve, scheme, x)
+    if chamber_minors_nonzero(scheme, x):
+        assert isinstance(got, list)
+    else:
+        assert got in (ZeroMinor, WrongCell, DecompositionFailure)
+    return got
+
+
+def one_negated(vals, rng):
+    vals = list(vals)
+    k = rng.randrange(len(vals))
+    vals[k] = -vals[k]
+    return vals
+
+
+def test_solve_matches_reference_every_s3_cell():
+    rng = random.Random(39)
+    schemes = []
+    for u in all_permutations(3):
+        for v in all_permutations(3):
+            seed = seed_scheme(u, v)
+            schemes += [random_walk(seed, rng.randrange(1, 12), rng)
+                        for _ in range(3)]
+    for sch in schemes:
+        vals = rand_vals(sch.length, rng)
+        for t in (vals, one_negated(vals, rng)):
+            assert assert_agrees_with_reference(sch, product(sch, t)) == t
+
+
+def test_solve_matches_reference_off_the_image():
+    # small integer matrices solved along a scheme of their own cell, where
+    # some chamber minor often vanishes, and along one of another cell
+    rng = random.Random(40)
+    outcomes = set()
+    for _ in range(60):
+        x = Matrix([[rng.randint(-1, 2) for _ in range(3)] for _ in range(3)])
+        if det(x) == 0:
+            continue
+        u, v = double_cell_of(x)
+        sch = random_walk(seed_scheme(u, v), 6, rng)
+        got = assert_agrees_with_reference(sch, x)
+        outcomes.add(got if isinstance(got, type) else list)
+        other = random_walk(seed_scheme(v, u), 3, rng)
+        if (v, u) != (u, v):
+            assert assert_agrees_with_reference(other, x) is WrongCell
+    assert {list, ZeroMinor} <= outcomes
+
+
+@pytest.mark.parametrize("n, walks", [(4, 4), (5, 2)])
+def test_solve_matches_reference_open_cells(n, walks):
+    rng = random.Random(41 + n)
+    w0 = Permutation.longest_element(n)
+    for _ in range(walks):
+        sch = random_walk(seed_scheme(w0, w0), 30, rng)
+        vals = rand_vals(sch.length, rng)
+        for t in (vals, one_negated(vals, rng)):
+            assert assert_agrees_with_reference(sch, product(sch, t)) == t
+
+
+def test_solve_evaluates_each_chamber_minor_once(monkeypatch):
+    calls = []
+    original = tpfact.solver.chamber_minor
+
+    def counted(xprime, chamber):
+        calls.append(chamber)
+        return original(xprime, chamber)
+
+    monkeypatch.setattr(tpfact.solver, "chamber_minor", counted)
+    rng = random.Random(42)
+    w0 = Permutation.longest_element(5)
+    for sch in (parse_scheme(RUNNING), seed_scheme(w0, w0),
+                parse_scheme("h1 f1 h2 e1")):
+        calls.clear()
+        vals = rand_vals(sch.length, rng)
+        assert solve(sch, product(sch, vals)) == vals
+        assert len(calls) == len(set(calls)) == sch.length
+        assert all(c.level > 0 for c in calls)
