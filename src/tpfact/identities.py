@@ -11,8 +11,8 @@ exchanged pair to four minors the two families share.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NotAnExchange, PreconditionViolated
 from .linalg import Matrix, minor
@@ -89,8 +89,7 @@ def check_dodgson(x, I, J, i, ip, j, jp):
     return _products_add_up(x, dodgson_terms(I, J, i, ip, j, jp))
 
 
-@dataclass(frozen=True)
-class ExchangeCertificate:
+class ExchangeCertificate(NamedTuple):
     """lhs[0]*lhs[1] = rhs1[0]*rhs1[1] + rhs2[0]*rhs2[1], all chamber minors."""
 
     identity: str          # "plucker-cols", "plucker-rows" or "dodgson"

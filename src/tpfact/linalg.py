@@ -22,7 +22,7 @@ def scalar_from_str(text):
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise SizeMismatch(f"bad rational literal {text!r}") from exc
+        raise ValidationError(f"bad rational literal {text!r}") from exc
     return value
 
 
@@ -190,7 +190,7 @@ def matrix_to_json(x):
 
 def matrix_from_json(data):
     if not isinstance(data, dict) or "entries" not in data:
-        raise SizeMismatch("matrix JSON must be an object with an 'entries' field")
+        raise ValidationError("matrix JSON must be an object with an 'entries' field")
     entries = data["entries"]
     if not isinstance(entries, list) or not all(
             isinstance(row, list) for row in entries):
@@ -209,5 +209,5 @@ def matrix_from_json_text(text):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SizeMismatch(f"bad matrix JSON: {exc}") from exc
+        raise ValidationError(f"bad matrix JSON: {exc}") from exc
     return matrix_from_json(data)

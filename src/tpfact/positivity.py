@@ -10,10 +10,10 @@ three agree with total nonnegativity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
-from .errors import SizeMismatch
+from .errors import SizeMismatch, ValidationError
 from .linalg import minor, scalar_to_str
 from .permutations import Permutation
 from .schemes import (E, F, H, FactorizationScheme, SchemeSymbol,
@@ -46,8 +46,7 @@ def first_negative_minor(x):
     return None
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     verdict: bool
     witness: tuple = None  # (rows, cols, value) of a failing minor
 
@@ -152,14 +151,16 @@ def fekete_scheme(n, variant):
             symbols.append(SchemeSymbol(E, i))
             symbols.append(SchemeSymbol(F, i))
     else:
-        raise ValueError(f"variant must be 1 or 2, got {variant!r}")
+        raise ValidationError(f"variant must be 1 or 2, got {variant!r}")
     symbols += [SchemeSymbol(H, j) for j in range(1, n + 1)]
     return FactorizationScheme.make(n, symbols)
 
 
 def fekete_criterion(x, variant):
-    family = fekete_families(x.n)[variant - 1]
-    return _family_report(x, family)
+    if variant not in (1, 2):
+        raise ValidationError(f"variant must be 1 or 2, got {variant!r}")
+    family1, family2 = fekete_families(x.n)
+    return _family_report(x, family1 if variant == 1 else family2)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +182,7 @@ GL3_COMMON_MINORS = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     code: str
     family: tuple          # all nine minors
     bounded: tuple         # the four that vary between entries

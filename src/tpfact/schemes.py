@@ -20,7 +20,6 @@ the labels of the F-lines, respectively E-lines, that run below it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (BadHPart, BadToken, MoveNotApplicable, NotReducedE,
@@ -49,8 +48,7 @@ class SchemeSymbol(NamedTuple):
         return f"{self.kind.lower()}{self.index}"
 
 
-@dataclass(frozen=True)
-class FactorizationScheme:
+class FactorizationScheme(NamedTuple):
     """A validated scheme word over GL_n."""
 
     n: int
@@ -144,8 +142,7 @@ def parse_scheme(text):
 # arrangements
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """A chamber of the double arrangement.
 
     start/end are word positions bounding its horizontal extent, with 0
@@ -196,22 +193,24 @@ def _line_states(n, word):
 
 
 def _chamber_sets(word, e_states, f_states):
-    """(level, start, I, J) for every chamber of the arrangement.
+    """(level, start, I, J) for every chamber, by level, then left to right.
 
     The bottom (level 0) and top (level n) chambers span the strip.  A
     level-k chamber with 0 < k < n starts at the left border or just
     right of a level-k crossing; I and J are the sorted labels of the
-    lowest k F-lines and E-lines there.  The border chambers come first,
-    then the level-k chambers starting at the left border by level,
-    then one chamber per crossing in word order.
+    lowest k F-lines and E-lines there.
     """
     full = e_states[0]
     n = len(full)
-    starts = [(k, 0) for k in range(1, n)]
-    starts += [(i, p) for p, (kind, i) in enumerate(word, 1) if kind != H]
-    chambers = [(0, 0, (), ()), (n, 0, full, full)]
+    starts = [[0] for _ in range(n)]  # starts[k] for 0 < k < n
+    for p, (kind, i) in enumerate(word, 1):
+        if kind != H:
+            starts[i].append(p)
+    chambers = [(0, 0, (), ())]
     chambers += [(k, a, tuple(sorted(f_states[a][:k])),
-                  tuple(sorted(e_states[a][:k]))) for k, a in starts]
+                  tuple(sorted(e_states[a][:k])))
+                 for k in range(1, n) for a in starts[k]]
+    chambers.append((n, 0, full, full))
     return chambers
 
 
@@ -233,50 +232,21 @@ class Arrangement:
             self._by_level.setdefault(c.level, []).append(c)
 
     def _build_chambers(self):
+        """Each chamber ends where the next of its level starts, else at l+1."""
         word = self.scheme.word
         l = len(word)
-        runs = {}
-        for level, start, row_set, col_set in _chamber_sets(
-                word, self.e_states, self.f_states):
-            runs.setdefault(level, []).append((start, row_set, col_set))
+        sets = _chamber_sets(word, self.e_states, self.f_states)
         chambers = []
-        for level in sorted(runs):
-            run = runs[level]
-            ends = [start for start, _, _ in run[1:]] + [l + 1]
-            for (a, row_set, col_set), b in zip(run, ends):
-                left_kind = E if a == 0 else word[a - 1].kind
-                right_kind = F if b == l + 1 else word[b - 1].kind
-                chambers.append(
-                    Chamber(level, a, b, left_kind, right_kind, row_set, col_set))
+        for (level, a, row_set, col_set), following in zip(sets, sets[1:] + [None]):
+            b = following[1] if following and following[0] == level else l + 1
+            left_kind = E if a == 0 else word[a - 1].kind
+            right_kind = F if b == l + 1 else word[b - 1].kind
+            chambers.append(
+                Chamber(level, a, b, left_kind, right_kind, row_set, col_set))
         return chambers
 
     def chambers_at_level(self, level):
         return list(self._by_level.get(level, []))
-
-    def crossing_lines(self, position):
-        """Labels of the two pseudolines meeting at an E/F crossing."""
-        sym = self.scheme.word[position - 1]
-        i = sym.index
-        if sym.kind == E:
-            state = self.e_states[position - 1]
-        elif sym.kind == F:
-            state = self.f_states[position - 1]
-        else:
-            raise BadToken(f"position {position} holds {sym.token}, not a crossing")
-        return (state[i - 1], state[i])
-
-    def e_line_through_bullet(self, position):
-        """Label of the E-line running through the bullet at this position."""
-        sym = self.scheme.word[position - 1]
-        if sym.kind != H:
-            raise BadToken(f"position {position} holds {sym.token}, not a bullet")
-        return self.e_states[position][sym.index - 1]
-
-    def f_line_through_bullet(self, position):
-        sym = self.scheme.word[position - 1]
-        if sym.kind != H:
-            raise BadToken(f"position {position} holds {sym.token}, not a bullet")
-        return self.f_states[position][sym.index - 1]
 
 
 def build_arrangement(scheme):
@@ -289,15 +259,11 @@ def chamber_minor_family(scheme):
     The bottom chamber is skipped (its minor is the constant 1); the
     remaining l chambers are listed by level and then left to right.
     """
-    arr = build_arrangement(scheme)
+    e_states, f_states = _line_states(scheme.n, scheme.word)
     u = scheme.u
     vinv = scheme.v.inverse()
-    family = []
-    for c in arr.chambers:
-        if c.level == 0:
-            continue
-        family.append((u.apply(c.row_set), vinv.apply(c.col_set)))
-    return family
+    return [(u.apply(row_set), vinv.apply(col_set)) for _, _, row_set, col_set
+            in _chamber_sets(scheme.word, e_states, f_states)[1:]]
 
 
 def isotopy_key(scheme):
@@ -313,8 +279,7 @@ def isotopy_key(scheme):
 TRIVIAL2, BRAID3, MIXED2 = "trivial2", "braid3", "mixed2"
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     kind: str
     position: int  # 1-based position of the leftmost symbol involved
 
@@ -383,8 +348,7 @@ def available_moves(scheme):
 # isotopy type enumeration
 
 
-@dataclass(frozen=True)
-class IsotopyNode:
+class IsotopyNode(NamedTuple):
     key: tuple
     family: tuple  # chamber minor family, sorted
     scheme: FactorizationScheme

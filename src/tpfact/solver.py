@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import ZeroMinor, ZeroParameter
 from .linalg import minor
-from .schemes import E, H, build_arrangement
+from .schemes import E, F, H, build_arrangement
 from .twist import twist
 
 _SIGMA = {"FE": 1, "EF": -1}
@@ -100,48 +100,45 @@ def solve(scheme, x):
     return values
 
 
+def _odd_below(state, kind, i, below):
+    """Whether an odd number of the lines at the symbol's heights (i and
+    i+1 for a crossing, i for a bullet) in state lie in below."""
+    if kind == H:
+        return state[i - 1] in below
+    return (state[i - 1] in below) != (state[i] in below)
+
+
 def chamber_values_from_parameters(scheme, values):
     """Chamber minors of the twist, straight from the parameters.
 
-    Each chamber minor of x' is the inverse of a product of parameters:
-    an E-crossing contributes when it sits at or beyond the chamber's
-    right end and exactly one of its two lines runs below the chamber;
-    an F-crossing mirrors that on the left; a bullet beyond the right
-    end contributes when its E-line runs below the chamber, a bullet
-    before the left end when its F-line does, and a bullet inside the
-    chamber's span when its own line lies below the chamber's level.
+    Each chamber minor of x' is the inverse of a product of parameters,
+    picked by one parity rule over the line states.  The symbol at word
+    position p touches the lines at its heights just before p: two for
+    a crossing, one for a bullet.  An E-crossing or a bullet at or
+    beyond the chamber's right end counts when exactly one of the
+    E-lines it touches runs below the chamber; an F-crossing or a
+    bullet at or before the left end mirrors that with F-lines; a
+    bullet strictly inside the chamber's span counts when its own line
+    lies below the chamber's level.
     Returns a dict mapping each chamber to the value.
     """
     values = [Fraction(r) for r in values]
     arrangement = build_arrangement(scheme)
+    e_states, f_states = arrangement.e_states, arrangement.f_states
     out = {}
     for chamber in arrangement.chambers:
-        selected = []
-        for position, sym in enumerate(scheme.word, start=1):
-            if sym.kind == H:
-                if position >= chamber.end:
-                    hit = (arrangement.e_line_through_bullet(position)
-                           in chamber.col_set)
-                elif position <= chamber.start:
-                    hit = (arrangement.f_line_through_bullet(position)
-                           in chamber.row_set)
-                else:
-                    hit = sym.index <= chamber.level
-            elif sym.kind == E:
-                hit = (position >= chamber.end
-                       and sum(a in chamber.col_set
-                               for a in arrangement.crossing_lines(position)) == 1)
-            else:
-                hit = (position <= chamber.start
-                       and sum(a in chamber.row_set
-                               for a in arrangement.crossing_lines(position)) == 1)
-            if hit:
-                selected.append(position)
         product = Fraction(1)
-        for position in selected:
-            if values[position - 1] == 0:
-                raise ZeroParameter(
-                    f"parameter at position {position} is zero but required")
-            product *= values[position - 1]
+        for position, (kind, i) in enumerate(scheme.word, start=1):
+            if kind != F and position >= chamber.end:
+                hit = _odd_below(e_states[position - 1], kind, i, chamber.col_set)
+            elif kind != E and position <= chamber.start:
+                hit = _odd_below(f_states[position - 1], kind, i, chamber.row_set)
+            else:
+                hit = kind == H and i <= chamber.level
+            if hit:
+                if values[position - 1] == 0:
+                    raise ZeroParameter(
+                        f"parameter at position {position} is zero but required")
+                product *= values[position - 1]
         out[chamber] = 1 / product
     return out

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tpfact
 from tpfact.cli import main
 from tpfact.linalg import Matrix
 from tpfact.positivity import first_negative_minor
@@ -173,3 +177,19 @@ def test_stdin_matrix(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, "cell", "--matrix", "-")
     assert code == 0
     assert json.loads(out) == {"u": "12", "v": "12"}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, so that modules loaded by pytest do not count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tpfact.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def loaded(statement):
+        probe = f"import sys; {statement}; print(*sorted(sys.modules))"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        return set(out.stdout.split())
+
+    added = loaded("import tpfact.cli") - loaded("pass")
+    assert "tpfact.cli" in added
+    assert not added & {"dataclasses", "inspect"}

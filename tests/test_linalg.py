@@ -168,3 +168,23 @@ def test_json_rejects_bad_shapes():
         matrix_from_json({"n": True, "entries": [["1"]]})
     # size field is optional when it agrees with the entries
     assert matrix_from_json({"entries": [["5"]]}).entry(1, 1) == 5
+
+
+@pytest.mark.parametrize("parse, arg, message", [
+    (scalar_from_str, "abc", "bad rational literal 'abc'"),
+    (matrix_from_json_text, "[1,2", "bad matrix JSON"),
+    (matrix_from_json, [], "must be an object with an 'entries' field"),
+    (matrix_from_json, {}, "must be an object with an 'entries' field"),
+], ids=["scalar", "json-text", "json-list", "json-empty-object"])
+def test_parse_errors_are_not_size_mismatches(parse, arg, message):
+    with pytest.raises(ValidationError, match=message) as info:
+        parse(arg)
+    assert type(info.value) is ValidationError
+
+
+def test_shape_faults_are_size_mismatches():
+    for data in ({"n": 2, "entries": [["1", "2"]]},
+                 {"n": 3, "entries": [["1"]]},
+                 {"entries": []}):
+        with pytest.raises(SizeMismatch):
+            matrix_from_json(data)

@@ -1,6 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
+import pytest
+
+from tpfact.errors import ValidationError
 from tpfact.linalg import Matrix
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.positivity import (
@@ -167,6 +171,16 @@ def test_fekete_criterion_matches_is_tp():
         truth = is_tp(x)
         assert fekete_criterion(x, 1).verdict == truth
         assert fekete_criterion(x, 2).verdict == truth
+
+
+@pytest.mark.parametrize("variant", [0, 3, -1, "1", None])
+def test_fekete_rejects_other_variants(variant):
+    x = Matrix.identity(3)
+    message = f"variant must be 1 or 2, got {variant!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        fekete_criterion(x, variant)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        fekete_scheme(3, variant)
 
 
 def test_criterion_report_json():

@@ -213,14 +213,14 @@ def test_gl2_families_depend_on_crossing_order():
 
 
 def test_crossing_lines_and_bullets():
+    # line states just before a symbol name the lines it touches
     arr = build_arrangement(parse_scheme(RUNNING))
-    assert arr.crossing_lines(2) == (1, 2)
-    with pytest.raises(BadToken):
-        arr.crossing_lines(3)
-    assert arr.e_line_through_bullet(3) == 3
-    assert arr.f_line_through_bullet(3) == 4
-    with pytest.raises(BadToken):
-        arr.e_line_through_bullet(1)
+    # the e1 crossing at position 2 joins E-lines 1 and 2
+    assert arr.e_states[1][0:2] == (1, 2)
+    assert arr.e_states[2][0:2] == (2, 1)
+    # the h3 bullet at position 3 lies on E-line 3 and F-line 4
+    assert arr.e_states[2][2] == arr.e_states[3][2] == 3
+    assert arr.f_states[2][2] == arr.f_states[3][2] == 4
 
 
 def test_trivial2_moves():
@@ -334,12 +334,33 @@ def test_enumerate_matches_shuffle_oracle_small():
         assert {node.key for node in graph.nodes} == keys
 
 
+def assert_chambers_tile_levels(scheme, chambers):
+    # by level, then left to right; each level's spans tile [0, l+1],
+    # bounded by the symbols at their ends (E left border, F right border)
+    l = scheme.length
+    assert [c.level for c in chambers] == sorted(c.level for c in chambers)
+    kind_at = [E] + [sym.kind for sym in scheme.word] + [F]
+    for level in range(scheme.n + 1):
+        spans = [(c.start, c.end) for c in chambers if c.level == level]
+        ends = [a for a, _ in spans[1:]] + [l + 1]
+        assert spans[0][0] == 0 and [b for _, b in spans] == ends
+    for c in chambers:
+        assert (c.left_kind, c.right_kind) == (kind_at[c.start], kind_at[c.end])
+
+
 def test_enumerate_matches_shuffle_oracle_open_gl3():
     w0 = Permutation.longest_element(3)
     schemes = all_schemes_of_type(w0, w0)
     assert len(schemes) == scheme_count(w0, w0) == 40320
     keys = [isotopy_key(s) for s in schemes]
     assert keys == [reference_key(s) for s in schemes]
+    for s in schemes:
+        chambers = build_arrangement(s).chambers
+        assert_chambers_tile_levels(s, chambers)
+        u, vinv = s.u, s.v.inverse()
+        assert chamber_minor_family(s) == [
+            (u.apply(c.row_set), vinv.apply(c.col_set))
+            for c in chambers if c.level]
     graph = enumerate_isotopy_types(w0, w0)
     assert len(set(keys)) == 34
     assert {node.key for node in graph.nodes} == set(keys)

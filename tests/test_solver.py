@@ -11,7 +11,8 @@ from reference import (
     reference_solve,
 )
 from tpfact.bruhat import double_cell_of
-from tpfact.errors import DecompositionFailure, WrongCell, ZeroMinor
+from tpfact.errors import (DecompositionFailure, WrongCell, ZeroMinor,
+                           ZeroParameter)
 from tpfact.linalg import Matrix, det, minor
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.product_map import product
@@ -197,16 +198,41 @@ def test_inverse_ansatz_running_example():
 
 
 def test_inverse_ansatz_other_schemes():
+    # seed schemes put every bullet at the end; the move-walked ones (three
+    # per S_3 cell, then open-cell walks at n = 4 and 5) mix them in
     rng = random.Random(38)
+    cases = []
     for u_str, v_str in (("321", "321"), ("213", "312"), ("231", "123")):
-        u = Permutation.from_string(u_str)
-        v = Permutation.from_string(v_str)
-        sch = seed_scheme(u, v)
-        for _ in range(5):
-            t = rand_vals(sch.length, rng)
-            xp = twist(product(sch, t), u, v)
-            for chamber, val in chamber_values_from_parameters(sch, t).items():
-                assert minor(xp, chamber.row_set, chamber.col_set) == val
+        sch = seed_scheme(Permutation.from_string(u_str),
+                          Permutation.from_string(v_str))
+        cases += [(sch, rand_vals(sch.length, rng)) for _ in range(5)]
+    walked = [random_walk(seed_scheme(u, v), rng.randrange(1, 12), rng)
+              for u in all_permutations(3) for v in all_permutations(3)
+              for _ in range(3)]
+    for n, walks in ((4, 4), (5, 2)):
+        w0 = Permutation.longest_element(n)
+        walked += [random_walk(seed_scheme(w0, w0), 30, rng)
+                   for _ in range(walks)]
+    for sch in walked:
+        vals = rand_vals(sch.length, rng)
+        cases += [(sch, vals), (sch, one_negated(vals, rng))]
+    for sch, t in cases:
+        xp = twist(product(sch, t), *sch.cell_type)
+        values = chamber_values_from_parameters(sch, t)
+        assert list(values) == build_arrangement(sch).chambers
+        for chamber, val in values.items():
+            assert minor(xp, chamber.row_set, chamber.col_set) == val
+
+
+def test_inverse_ansatz_names_a_zero_parameter():
+    sch = parse_scheme(RUNNING)
+    t = rand_vals(13, random.Random(44))
+    for position in range(1, 14):
+        zeroed = list(t)
+        zeroed[position - 1] = 0
+        message = f"parameter at position {position} is zero but required"
+        with pytest.raises(ZeroParameter, match=message):
+            chamber_values_from_parameters(sch, zeroed)
 
 
 def random_walk(scheme, steps, rng):
