@@ -6,6 +6,10 @@ all nonzero while the minors with rows w([1,i-1] u {j}) and columns
 [1,i] vanish whenever i < j and w(i) < w(j).  Transposition swaps the
 upper and lower decompositions and inverts the cell representative,
 which is how the second coordinate of a double cell is read off.
+
+Classification tries candidate permutations until one fits, and each
+try checks invertibility; `det` caches the determinant on the matrix,
+so that check costs one elimination per classified matrix.
 """
 
 from __future__ import annotations

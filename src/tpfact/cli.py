@@ -32,10 +32,14 @@ from .twist import twist
 
 
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "standard input" if path == "-" else path
+        raise ValidationError(f"{name} is not UTF-8 text: {exc}") from exc
 
 
 def _write_text(path, text):

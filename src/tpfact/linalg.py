@@ -46,9 +46,13 @@ def check_index_set(indices, n):
 
 
 class Matrix:
-    """Immutable square matrix of Fractions."""
+    """Immutable square matrix of Fractions.
 
-    __slots__ = ("n", "rows")
+    `_det` holds the determinant once `det` has computed it; it takes no
+    part in equality, hashing or repr.
+    """
+
+    __slots__ = ("n", "rows", "_det")
 
     def __init__(self, rows):
         rows = tuple(tuple(Fraction(e) for e in row) for row in rows)
@@ -59,6 +63,7 @@ class Matrix:
             raise SizeMismatch("matrix must be square")
         self.n = n
         self.rows = rows
+        self._det = None
 
     @classmethod
     def identity(cls, n):
@@ -132,8 +137,11 @@ def minor(x, row_set, col_set):
 
 
 def det(x):
-    full = tuple(range(1, x.n + 1))
-    return minor(x, full, full)
+    """Determinant, computed on first use and kept on the matrix."""
+    if x._det is None:
+        full = tuple(range(1, x.n + 1))
+        x._det = minor(x, full, full)
+    return x._det
 
 
 def leading_principal_minors(x):
@@ -194,12 +202,12 @@ def matrix_from_json(data):
     entries = data["entries"]
     if not isinstance(entries, list) or not all(
             isinstance(row, list) for row in entries):
-        raise SizeMismatch("matrix 'entries' must be a list of rows")
+        raise ValidationError("matrix 'entries' must be a list of rows")
     x = Matrix([[scalar_from_str(e) for e in row] for row in entries])
     if "n" in data:
         declared = data["n"]
         if not isinstance(declared, int) or isinstance(declared, bool):
-            raise SizeMismatch(f"declared size {declared!r} is not an integer")
+            raise ValidationError(f"declared size {declared!r} is not an integer")
         if declared != x.n:
             raise SizeMismatch(f"declared size {declared} != actual size {x.n}")
     return x

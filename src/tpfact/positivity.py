@@ -1,6 +1,7 @@
 """Total positivity tests and criteria generated from schemes.
 
-Three graded tests: the all-minors definitions (is_tnn, is_tp), the
+Three graded tests: the definitions (is_tnn scans every minor; is_tp
+reads the n^2 initial minors, which decide total positivity), the
 chamber criterion attached to one scheme (positivity of the l modified
 chamber minors), and the chamber-set criterion attached to a double
 cell (positivity of the minors whose row set is a u^{-1}-chamber set
@@ -33,8 +34,14 @@ def is_tnn(x):
 
 
 def is_tp(x):
-    """Totally positive: every minor of every order is > 0."""
-    return all(minor(x, rows, cols) > 0 for rows, cols in _all_index_pairs(x.n))
+    """Totally positive: every minor of every order is > 0.
+
+    Decided from the n^2 initial minors (the solid minors whose row or
+    column interval contains 1), which are all positive exactly when x
+    is totally positive (Gasca-Pena, after Fekete).
+    """
+    return all(minor(x, rows, cols) > 0
+               for rows, cols in fekete_families(x.n)[0])
 
 
 def first_negative_minor(x):

@@ -6,13 +6,16 @@ faster or leaner routines against them.
 - Reduced-word enumeration and the left weak order on permutations.
 - The big-chamber solver: every crossing parameter read off four big
   chambers, each end monomial evaluated afresh from chamber minors.
+- Total positivity by definition: every minor of every order.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from tpfact.errors import ValidationError, ZeroParameter
+from tpfact.linalg import minor
 from tpfact.permutations import Permutation
 from tpfact.schemes import E, F, H, build_arrangement
 from tpfact.solver import chamber_minor
@@ -167,3 +170,16 @@ def reference_solve(scheme, x):
             raise ZeroParameter(f"parameter at position {position} came out zero")
         values.append(t)
     return values
+
+
+# ---------------------------------------------------------------------------
+# total positivity
+
+
+def reference_is_tp(x):
+    """Totally positive by definition: all C(2n, n) - 1 minors are > 0."""
+    index_sets = [c for k in range(1, x.n + 1)
+                  for c in combinations(range(1, x.n + 1), k)]
+    return all(minor(x, rows, cols) > 0
+               for rows in index_sets for cols in index_sets
+               if len(rows) == len(cols))

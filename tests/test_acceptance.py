@@ -9,7 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from reference import reduced_words
+from reference import reduced_words, reference_is_tp
 from tpfact.bruhat import bruhat_cell_of, double_cell_of, in_bruhat_cell
 from tpfact.linalg import Matrix, det, minor
 from tpfact.networks import (
@@ -301,7 +301,8 @@ def test_criterion_08_fekete_families():
         samples.append(Matrix.identity(4))
         assert len(samples) >= 100
         for x in samples:
-            truth = is_tp(x)
+            truth = reference_is_tp(x)
+            assert is_tp(x) == truth
             assert fekete_criterion(x, 1).verdict == truth
             assert fekete_criterion(x, 2).verdict == truth
 

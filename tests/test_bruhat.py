@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tpfact import bruhat, linalg
 from tpfact.bruhat import bruhat_cell_of, double_cell_of, in_G0, in_bruhat_cell
 from tpfact.errors import Singular
 from tpfact.linalg import Matrix, det
@@ -70,5 +71,33 @@ def test_in_G0():
 def test_singular_matrix_rejected():
     with pytest.raises(Singular):
         bruhat_cell_of(mat([[1, 2], [2, 4]]))
+    # every candidate refuses, also once the zero determinant is cached
+    x = mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    for w in all_permutations(3):
+        with pytest.raises(Singular):
+            in_bruhat_cell(x, w)
     with pytest.raises(Singular):
         double_cell_of(mat([[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_double_cell_of_computes_each_determinant_once(n, monkeypatch):
+    # a full-size minor is a determinant: one for x and one for its
+    # transpose, not one per candidate permutation (48 at n = 4, 240 at 5)
+    full = []
+    original = linalg.minor
+
+    def counting(x, rows, cols):
+        if len(rows) == x.n:
+            full.append(rows)
+        return original(x, rows, cols)
+
+    monkeypatch.setattr(linalg, "minor", counting)
+    monkeypatch.setattr(bruhat, "minor", counting)
+    w0 = Permutation.longest_element(n)
+    sch = seed_scheme(w0, w0)
+    rng = random.Random(n)
+    x = product(sch, [Fraction(rng.randint(1, 9), rng.randint(1, 5))
+                      for _ in range(sch.length)])
+    assert double_cell_of(x) == (w0, w0)
+    assert len(full) <= 2

@@ -170,6 +170,19 @@ def test_malformed_input_exits_2(argv, stdin, capsys, monkeypatch):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["cell", "--matrix"],
+    ["product", "--scheme", "h1 f1 h2 e1", "--params"],
+], ids=["matrix", "params"])
+def test_non_utf8_file_exits_2(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff")
+    assert main(argv + [str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad} is not UTF-8 text")
+
+
 def test_stdin_matrix(tmp_path, capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin",

@@ -91,9 +91,18 @@ def test_minor_validates_index_sets():
 
 def test_det_matches_full_minor():
     rng = random.Random(2)
-    for _ in range(10):
-        x = rand_matrix(4, rng)
-        assert det(x) == minor(x, (1, 2, 3, 4), (1, 2, 3, 4))
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            x = rand_matrix(n, rng)
+            full = tuple(range(1, n + 1))
+            fresh = Matrix(x.rows)
+            text, key = repr(x), hash(x)
+            value = det(x)
+            # a second call returns the cached value; caching leaves the
+            # matrix's equality, hash and repr as they were
+            assert det(x) == value == minor(x, full, full)
+            assert x == fresh and hash(x) == key == hash(fresh)
+            assert repr(x) == text == repr(fresh)
 
 
 def test_leading_principal_minors():
@@ -164,8 +173,13 @@ def test_json_rejects_bad_shapes():
         matrix_from_json({"entries": []})
     with pytest.raises(ValidationError):
         matrix_from_json_text("[1, 2]")
-    with pytest.raises(ValidationError, match="'2' is not an integer"):
+    # faults of type, not of size
+    with pytest.raises(ValidationError, match="must be a list of rows") as info:
+        matrix_from_json({"entries": 5})
+    assert type(info.value) is ValidationError
+    with pytest.raises(ValidationError, match="'2' is not an integer") as info:
         matrix_from_json({"n": "2", "entries": [["5", "2"], ["2", "1"]]})
+    assert type(info.value) is ValidationError
     with pytest.raises(ValidationError, match="True is not an integer"):
         matrix_from_json({"n": True, "entries": [["1"]]})
     # size field is optional when it agrees with the entries

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from reference import reference_is_tp
 from tpfact.errors import ValidationError
-from tpfact.linalg import Matrix
+from tpfact.linalg import Matrix, minor
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.positivity import (
     GL3_COMMON_MINORS,
@@ -41,6 +42,29 @@ def tp_sample(n, rng):
     return product(sch, vals)
 
 
+def is_tp_samples(n, rng):
+    """TP, non-TP, singular and perturbed-TP matrices of size n."""
+    samples = [Matrix.identity(n), mat([[1] * n] * n),
+               mat([[i * j for j in range(1, n + 1)] for i in range(1, n + 1)])]
+    if n == 1:
+        return samples + [mat([[3]]), mat([[0]]), mat([[-1]])]
+    for _ in range(4):
+        x = tp_sample(n, rng)
+        samples += [x, rand_matrix(n, rng)]
+        # lower one entry: some minors through it shrink past zero
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows = [list(row) for row in x.rows]
+        shrink = rng.choice([Fraction(1, 100), Fraction(1, 4), 1])
+        rows[i][j] -= shrink * rows[i][j]
+        samples.append(Matrix(rows))
+        # make the determinant vanish and keep every smaller initial minor
+        full, head = tuple(range(1, n + 1)), tuple(range(1, n))
+        rows = [list(row) for row in x.rows]
+        rows[-1][-1] -= minor(x, full, full) / minor(x, head, head)
+        samples.append(Matrix(rows))
+    return samples
+
+
 def test_is_tnn_and_is_tp_basics():
     assert is_tnn(Matrix.identity(3))
     assert not is_tp(Matrix.identity(3))
@@ -62,7 +86,8 @@ def test_first_negative_minor_witness():
 def test_tp_samples_are_tp():
     rng = random.Random(40)
     for n in (2, 3, 4):
-        assert is_tp(tp_sample(n, rng))
+        x = tp_sample(n, rng)
+        assert is_tp(x) and reference_is_tp(x)
 
 
 def test_w_chamber_sets_identity_gives_prefixes():
@@ -167,10 +192,16 @@ def test_fekete_criterion_matches_is_tp():
     samples = [tp_sample(4, rng) for _ in range(10)]
     samples += [rand_matrix(4, rng) for _ in range(10)]
     samples.append(Matrix.identity(4))
+    for n in (1, 2, 3, 4):
+        samples += is_tp_samples(n, rng)
+    verdicts = set()
     for x in samples:
-        truth = is_tp(x)
+        truth = reference_is_tp(x)
+        assert is_tp(x) == truth, x
         assert fekete_criterion(x, 1).verdict == truth
         assert fekete_criterion(x, 2).verdict == truth
+        verdicts.add(truth)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("variant", [0, 3, -1, "1", None])
