@@ -20,10 +20,11 @@ the labels of the F-lines, respectively E-lines, that run below it.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import (BadHPart, BadToken, MoveNotApplicable, NotReducedE,
-                     NotReducedF)
+                     NotReducedF, SizeMismatch)
 from .permutations import Permutation
 
 E, F, H = "E", "F", "H"
@@ -192,7 +193,44 @@ def _line_states(n, word):
     return e_states, f_states
 
 
-def _chamber_sets(word, e_states, f_states):
+@lru_cache(maxsize=4096)
+def _labels(mask):
+    """The sorted labels j whose bits 1 << j are set in mask."""
+    return tuple(j for j in range(1, mask.bit_length()) if mask >> j & 1)
+
+
+def _crossing_sets(n, word):
+    """Bitmasks of the lines below the chamber just right of each crossing.
+
+    below[k] holds bit j for each label j at heights 1..k.  A level-i
+    crossing swaps the labels at heights i and i+1, so it changes only
+    below[i], to below[i-1] plus the label at height i+1, which is
+    below[i-1] ^ below[i] ^ below[i+1].  A forward sweep over the
+    E-crossings and a backward sweep over the F-crossings give the
+    F-masks and the E-masks of the crossings, left to right, and the
+    F-masks below[0..n] at the left border, where the E-masks are 1..k.
+    No table grows with 2^n: a mask becomes its labels through a bounded
+    cache.
+    """
+    below = [(2 << k) - 2 for k in range(n + 1)]
+    e_masks = []
+    for kind, i in word:
+        if kind == E:
+            below[i] ^= below[i - 1] ^ below[i + 1]
+        if kind != H:
+            e_masks.append(below[i])
+    below = [(2 << k) - 2 for k in range(n + 1)]
+    f_masks = []
+    for kind, i in reversed(word):
+        if kind != H:
+            f_masks.append(below[i])
+        if kind == F:
+            below[i] ^= below[i - 1] ^ below[i + 1]
+    f_masks.reverse()
+    return f_masks, e_masks, below
+
+
+def _chamber_sets(n, word):
     """(level, start, I, J) for every chamber, by level, then left to right.
 
     The bottom (level 0) and top (level n) chambers span the strip.  A
@@ -200,18 +238,13 @@ def _chamber_sets(word, e_states, f_states):
     right of a level-k crossing; I and J are the sorted labels of the
     lowest k F-lines and E-lines there.
     """
-    full = e_states[0]
-    n = len(full)
-    starts = [[0] for _ in range(n)]  # starts[k] for 0 < k < n
-    for p, (kind, i) in enumerate(word, 1):
-        if kind != H:
-            starts[i].append(p)
-    chambers = [(0, 0, (), ())]
-    chambers += [(k, a, tuple(sorted(f_states[a][:k])),
-                  tuple(sorted(e_states[a][:k])))
-                 for k in range(1, n) for a in starts[k]]
-    chambers.append((n, 0, full, full))
-    return chambers
+    f_masks, e_masks, border = _crossing_sets(n, word)
+    levels = [[(k, 0, _labels(border[k]), tuple(range(1, k + 1)))]
+              for k in range(n + 1)]
+    crossings = ((p, i) for p, (kind, i) in enumerate(word, 1) if kind != H)
+    for (p, i), f, e in zip(crossings, f_masks, e_masks):
+        levels[i].append((i, p, _labels(f), _labels(e)))
+    return [chamber for level in levels for chamber in level]
 
 
 class Arrangement:
@@ -235,7 +268,7 @@ class Arrangement:
         """Each chamber ends where the next of its level starts, else at l+1."""
         word = self.scheme.word
         l = len(word)
-        sets = _chamber_sets(word, self.e_states, self.f_states)
+        sets = _chamber_sets(self.n, word)
         chambers = []
         for (level, a, row_set, col_set), following in zip(sets, sets[1:] + [None]):
             b = following[1] if following and following[0] == level else l + 1
@@ -259,18 +292,21 @@ def chamber_minor_family(scheme):
     The bottom chamber is skipped (its minor is the constant 1); the
     remaining l chambers are listed by level and then left to right.
     """
-    e_states, f_states = _line_states(scheme.n, scheme.word)
     u = scheme.u
     vinv = scheme.v.inverse()
     return [(u.apply(row_set), vinv.apply(col_set)) for _, _, row_set, col_set
-            in _chamber_sets(scheme.word, e_states, f_states)[1:]]
+            in _chamber_sets(scheme.n, scheme.word)[1:]]
 
 
 def isotopy_key(scheme):
     """Sorted multiset of chamber set pairs; equal keys mean isotopic."""
-    e_states, f_states = _line_states(scheme.n, scheme.word)
-    return tuple(sorted((row_set, col_set) for _, _, row_set, col_set
-                        in _chamber_sets(scheme.word, e_states, f_states)))
+    n = scheme.n
+    f_masks, e_masks, border = _crossing_sets(n, scheme.word)
+    pairs = [(_labels(f), _labels(e)) for f, e in zip(f_masks, e_masks)]
+    pairs += [(_labels(border[k]), tuple(range(1, k + 1)))
+              for k in range(n + 1)]
+    pairs.sort()
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -284,64 +320,55 @@ class Move(NamedTuple):
     position: int  # 1-based position of the leftmost symbol involved
 
 
-def _trivial2_ok(a, b):
-    if a.kind == H or b.kind == H:
-        return not (a.kind == H and b.kind == H and a.index == b.index)
-    if a.kind == b.kind:
-        return abs(a.index - b.index) >= 2
-    return a.index != b.index
+def _moves(word):
+    """Every (kind, position) that applies to the word.
+
+    Two-symbol moves by position, then braid moves by position.  Two
+    neighbours commute (trivial2) unless they are the same bullet, e/f
+    crossings of one level (mixed2 swaps those) or same-family crossings
+    of adjacent or equal levels.  braid3 turns i j i into j i j within
+    one family when |i - j| = 1.
+    """
+    moves, braids = [], []
+    last = len(word) - 1
+    for p, ((ka, ia), (kb, ib)) in enumerate(zip(word, word[1:]), 1):
+        if ka == H or kb == H:
+            if ka != kb or ia != ib:
+                moves.append((TRIVIAL2, p))
+        elif ka != kb:
+            moves.append((TRIVIAL2 if ia != ib else MIXED2, p))
+        elif abs(ia - ib) >= 2:
+            moves.append((TRIVIAL2, p))
+        elif abs(ia - ib) == 1 and p < last and word[p + 1] == word[p - 1]:
+            braids.append((BRAID3, p))
+    return moves + braids
 
 
-def _braid3_ok(a, b, c):
-    return (a.kind == c.kind and a.kind in (E, F) and b.kind == a.kind
-            and a.index == c.index and abs(a.index - b.index) == 1)
-
-
-def _mixed2_ok(a, b):
-    return {a.kind, b.kind} == {E, F} and a.index == b.index
-
-
-def _moved_word(word, move):
+def _moved_word(word, kind, p):
     """The word after a move that is known to apply to it."""
-    p = move.position
-    if move.kind == BRAID3:
+    if kind == BRAID3:
         a, b = word[p - 1], word[p]
         return word[:p - 1] + (b, a, b) + word[p + 2:]
     return word[:p - 1] + (word[p], word[p - 1]) + word[p + 1:]
 
 
 def apply_move(scheme, move):
-    """Apply a move, returning a new scheme of the same type."""
+    """Apply a move, returning a new scheme of the same type.
+
+    A move at p depends only on the symbols at p..p+2, so it is checked
+    against the moves of that window.
+    """
+    kind, p = move
     word = tuple(scheme.word)
-    p = move.position
-    if move.kind == TRIVIAL2:
-        if not (1 <= p <= len(word) - 1 and _trivial2_ok(word[p - 1], word[p])):
-            raise MoveNotApplicable(f"trivial2 at {p} does not apply")
-    elif move.kind == MIXED2:
-        if not (1 <= p <= len(word) - 1 and _mixed2_ok(word[p - 1], word[p])):
-            raise MoveNotApplicable(f"mixed2 at {p} does not apply")
-    elif move.kind == BRAID3:
-        if not (1 <= p <= len(word) - 2
-                and _braid3_ok(word[p - 1], word[p], word[p + 1])):
-            raise MoveNotApplicable(f"braid3 at {p} does not apply")
-    else:
-        raise MoveNotApplicable(f"unknown move kind {move.kind!r}")
-    return FactorizationScheme(scheme.n, _moved_word(word, move))
+    if p < 1 or (kind, 1) not in _moves(word[p - 1:p + 2]):
+        if kind not in (TRIVIAL2, BRAID3, MIXED2):
+            raise MoveNotApplicable(f"unknown move kind {kind!r}")
+        raise MoveNotApplicable(f"{kind} at {p} does not apply")
+    return FactorizationScheme(scheme.n, _moved_word(word, kind, p))
 
 
 def available_moves(scheme):
-    word = scheme.word
-    moves = []
-    for p in range(1, len(word)):
-        a, b = word[p - 1], word[p]
-        if _trivial2_ok(a, b):
-            moves.append(Move(TRIVIAL2, p))
-        if _mixed2_ok(a, b):
-            moves.append(Move(MIXED2, p))
-    for p in range(1, len(word) - 1):
-        if _braid3_ok(word[p - 1], word[p], word[p + 1]):
-            moves.append(Move(BRAID3, p))
-    return moves
+    return [Move(kind, p) for kind, p in _moves(scheme.word)]
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +412,9 @@ class IsotopyGraph:
 def seed_scheme(u, v):
     """Some scheme of type (u, v): e-part, then f-part, then h1..hn."""
     n = u.n
+    if v.n != n:
+        raise SizeMismatch(
+            f"u and v must have the same size, got {n} and {v.n}")
     e_word = v.lex_min_reduced_word()
     f_word = u.lex_min_reduced_word()
     word = ([SchemeSymbol(E, i) for i in e_word]
@@ -394,14 +424,16 @@ def seed_scheme(u, v):
 
 
 def enumerate_isotopy_types(u, v):
-    """Breadth-first search of the move graph, quotiented by isotopy.
+    """Search of the move graph in stack order, quotiented by isotopy.
 
-    Walks every scheme of type (u, v) reachable by trivial2, braid3 and
-    mixed2 moves; braid3/mixed2 steps that land in a different isotopy
-    class contribute the graph's edges.
+    Walks every scheme of type (u, v) reachable from seed_scheme(u, v)
+    by trivial2, braid3 and mixed2 moves; braid3/mixed2 steps that land
+    in a different isotopy class contribute the graph's edges.  Each word
+    is keyed once, when first reached.  The walk expands the most
+    recently reached unexpanded word first (frontier.pop() on a stack),
+    and that order picks each class's representative scheme: the first
+    of its words to be reached.
     """
-    if u.n != v.n:
-        raise BadToken("u and v must have the same size")
     start = seed_scheme(u, v)
     word_keys = {}  # word -> its class's key, the object held in key_info
     key_info = {}
@@ -421,14 +453,14 @@ def enumerate_isotopy_types(u, v):
     while frontier:
         scheme = frontier.pop()
         key = word_keys[scheme.word]
-        for move in available_moves(scheme):
-            word = _moved_word(scheme.word, move)
+        for kind, p in _moves(scheme.word):
+            word = _moved_word(scheme.word, kind, p)
             nkey = word_keys.get(word)
             if nkey is None:
                 neighbor = FactorizationScheme(u.n, word)
                 nkey = key_of(neighbor)
                 frontier.append(neighbor)
-            if move.kind != TRIVIAL2 and nkey is not key:
+            if kind != TRIVIAL2 and nkey is not key:
                 edges.add(frozenset((key, nkey)))
     nodes = [IsotopyNode(key, tuple(fam), sch)
              for key, fam, sch in sorted(key_info.values())]

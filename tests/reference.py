@@ -4,6 +4,8 @@ The library no longer carries these; the tests compare the library's
 faster or leaner routines against them.
 
 - Reduced-word enumeration and the left weak order on permutations.
+- Chamber sets read off the line labels at every word position, and the
+  three local-move predicates tested one pair or triple at a time.
 - The big-chamber solver: every crossing parameter read off four big
   chambers, each end monomial evaluated afresh from chamber minors.
 - Total positivity by definition: every minor of every order.
@@ -17,7 +19,8 @@ from itertools import combinations
 from tpfact.errors import ValidationError, ZeroParameter
 from tpfact.linalg import minor
 from tpfact.permutations import Permutation
-from tpfact.schemes import E, F, H, build_arrangement
+from tpfact.schemes import (BRAID3, E, F, H, MIXED2, TRIVIAL2,
+                            build_arrangement)
 from tpfact.solver import chamber_minor
 from tpfact.twist import twist
 
@@ -52,6 +55,103 @@ def weak_order_leq(wp, w):
     if wp.n != w.n:
         raise ValidationError("permutations must have the same size")
     return w.length() == wp.length() + (wp.inverse() * w).length()
+
+
+# ---------------------------------------------------------------------------
+# chamber sets and local moves
+
+
+def line_states(n, word):
+    """Line labels at heights 1..n at every word position 0..l.
+
+    E-lines start as 1..n at the left border and swap at E-crossings;
+    F-lines end as 1..n at the right border and swap at F-crossings.
+    """
+    state = list(range(1, n + 1))
+    e_states = [tuple(state)]
+    for sym in word:
+        if sym.kind == E:
+            i = sym.index
+            state[i - 1], state[i] = state[i], state[i - 1]
+        e_states.append(tuple(state))
+    state = list(range(1, n + 1))
+    f_states = [tuple(state)]
+    for sym in reversed(word):
+        if sym.kind == F:
+            i = sym.index
+            state[i - 1], state[i] = state[i], state[i - 1]
+        f_states.append(tuple(state))
+    f_states.reverse()
+    return e_states, f_states
+
+
+def chamber_sets(n, word):
+    """(level, start, I, J) per chamber, by level, then left to right.
+
+    A level-k chamber starts at the left border or just right of a
+    level-k crossing; I and J sort the lowest k F- and E-line labels.
+    """
+    e_states, f_states = line_states(n, word)
+    chambers = []
+    for k in range(n + 1):
+        starts = [0] + [p for p, sym in enumerate(word, 1)
+                        if sym.kind != H and sym.index == k]
+        chambers += [(k, a, tuple(sorted(f_states[a][:k])),
+                      tuple(sorted(e_states[a][:k]))) for a in starts]
+    return chambers
+
+
+def isotopy_key(scheme):
+    return tuple(sorted((row_set, col_set) for _, _, row_set, col_set
+                        in chamber_sets(scheme.n, scheme.word)))
+
+
+def chamber_minor_family(scheme):
+    u, vinv = scheme.u, scheme.v.inverse()
+    return [(u.apply(row_set), vinv.apply(col_set)) for level, _, row_set,
+            col_set in chamber_sets(scheme.n, scheme.word) if level]
+
+
+def trivial2_ok(a, b):
+    if a.kind == H or b.kind == H:
+        return not (a.kind == H and b.kind == H and a.index == b.index)
+    if a.kind == b.kind:
+        return abs(a.index - b.index) >= 2
+    return a.index != b.index
+
+
+def braid3_ok(a, b, c):
+    return (a.kind == c.kind and a.kind in (E, F) and b.kind == a.kind
+            and a.index == c.index and abs(a.index - b.index) == 1)
+
+
+def mixed2_ok(a, b):
+    return {a.kind, b.kind} == {E, F} and a.index == b.index
+
+
+def moved_word(word, kind, p):
+    """The word after the move at 1-based position p, or None if it does
+    not apply there."""
+    word = tuple(word)
+    if kind == BRAID3:
+        if 1 <= p <= len(word) - 2 and braid3_ok(*word[p - 1:p + 2]):
+            a, b = word[p - 1], word[p]
+            return word[:p - 1] + (b, a, b) + word[p + 2:]
+        return None
+    ok = {TRIVIAL2: trivial2_ok, MIXED2: mixed2_ok}[kind]
+    if 1 <= p <= len(word) - 1 and ok(word[p - 1], word[p]):
+        return word[:p - 1] + (word[p], word[p - 1]) + word[p + 1:]
+    return None
+
+
+def moves(word):
+    """Applicable (kind, position) pairs: trivial2 and mixed2 by
+    position, then braid3 by position."""
+    pairs = [(kind, p) for p in range(1, len(word))
+             for kind in (TRIVIAL2, MIXED2)
+             if moved_word(word, kind, p) is not None]
+    return pairs + [(BRAID3, p) for p in range(1, len(word) - 1)
+                    if moved_word(word, BRAID3, p) is not None]
 
 
 # ---------------------------------------------------------------------------

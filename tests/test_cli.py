@@ -151,6 +151,7 @@ def test_exit_codes(tmp_path, capsys):
      {"n": 2, "entries": [["5", "2"], ["2", "1"]]}),
     (["enumerate", "--u", "2,1,", "--v", "21"], None),
     (["enumerate", "--u", "21", "--v", "\u00b21"], None),
+    (["enumerate", "--u", "321", "--v", "21"], None),
     (["twist", "--matrix", "-", "--u", "2,x", "--v", "21"],
      {"n": 2, "entries": [["5", "2"], ["2", "1"]]}),
     (["check", "--matrix", "-", "--mode", "chamberset", "--u", "1,,2",
@@ -158,7 +159,8 @@ def test_exit_codes(tmp_path, capsys):
 ], ids=["numeric-entries", "entries-scalar", "numeric-params",
         "params-not-a-list", "fuzz-negative-trials", "size-string",
         "size-bool", "twist-wrong-size", "enumerate-empty-part",
-        "enumerate-superscript-digit", "twist-non-numeric-part",
+        "enumerate-superscript-digit", "enumerate-size-mismatch",
+        "twist-non-numeric-part",
         "chamberset-empty-part"])
 def test_malformed_input_exits_2(argv, stdin, capsys, monkeypatch):
     import io

@@ -1,8 +1,10 @@
 import itertools
 import math
+import random
 
 import pytest
 
+import reference
 from reference import reduced_words
 from tpfact.errors import (
     BadHPart,
@@ -10,6 +12,7 @@ from tpfact.errors import (
     MoveNotApplicable,
     NotReducedE,
     NotReducedF,
+    SizeMismatch,
 )
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.schemes import (
@@ -18,6 +21,7 @@ from tpfact.schemes import (
     F,
     H,
     MIXED2,
+    TRIVIAL2,
     FactorizationScheme,
     Move,
     SchemeSymbol,
@@ -29,6 +33,8 @@ from tpfact.schemes import (
     isotopy_key,
     parse_scheme,
     seed_scheme,
+    _chamber_sets,
+    _labels,
 )
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
@@ -65,9 +71,10 @@ def reference_key(scheme):
 
 
 def reference_enumerate(u, v):
-    # the move-graph walk that builds a scheme for every neighbour and keys
-    # it through build_arrangement; returns the nodes as (key, family,
-    # scheme text) and the edges as index pairs
+    # the move-graph walk that builds a scheme for every neighbour from the
+    # reference move predicates and keys it through build_arrangement;
+    # returns the nodes as (key, family, scheme text) and the edges as
+    # index pairs
     start = seed_scheme(u, v)
     word_keys = {}
     key_info = {}
@@ -79,7 +86,8 @@ def reference_enumerate(u, v):
             key = reference_key(scheme)
             word_keys[scheme.word] = key
             if key not in key_info:
-                key_info[key] = (sorted(chamber_minor_family(scheme)), scheme)
+                key_info[key] = (
+                    sorted(reference.chamber_minor_family(scheme)), scheme)
         return key
 
     key_of(start)
@@ -87,11 +95,12 @@ def reference_enumerate(u, v):
     while frontier:
         scheme = frontier.pop()
         key = word_keys[scheme.word]
-        for move in available_moves(scheme):
-            neighbor = apply_move(scheme, move)
+        for kind, p in reference.moves(scheme.word):
+            neighbor = FactorizationScheme(
+                u.n, reference.moved_word(scheme.word, kind, p))
             fresh = neighbor.word not in word_keys
             nkey = key_of(neighbor)
-            if move.kind in (BRAID3, MIXED2) and nkey != key:
+            if kind in (BRAID3, MIXED2) and nkey != key:
                 edges.add(frozenset((key, nkey)))
             if fresh:
                 frontier.append(neighbor)
@@ -348,9 +357,15 @@ def assert_chambers_tile_levels(scheme, chambers):
         assert (c.left_kind, c.right_kind) == (kind_at[c.start], kind_at[c.end])
 
 
-def test_enumerate_matches_shuffle_oracle_open_gl3():
+@pytest.fixture(scope="module")
+def open_gl3_schemes():
     w0 = Permutation.longest_element(3)
-    schemes = all_schemes_of_type(w0, w0)
+    return all_schemes_of_type(w0, w0)
+
+
+def test_enumerate_matches_shuffle_oracle_open_gl3(open_gl3_schemes):
+    w0 = Permutation.longest_element(3)
+    schemes = open_gl3_schemes
     assert len(schemes) == scheme_count(w0, w0) == 40320
     keys = [isotopy_key(s) for s in schemes]
     assert keys == [reference_key(s) for s in schemes]
@@ -365,6 +380,86 @@ def test_enumerate_matches_shuffle_oracle_open_gl3():
     assert len(set(keys)) == 34
     assert {node.key for node in graph.nodes} == set(keys)
     assert graph.is_connected()
+
+
+def applied(scheme, kind, p):
+    try:
+        return apply_move(scheme, Move(kind, p)).word
+    except MoveNotApplicable:
+        return None
+
+
+def assert_matches_reference_rules(scheme):
+    # the chamber table, key, family and moves against the line-state and
+    # one-predicate-per-move oracles, with apply_move tried at every kind
+    # and every position, negative and past-the-end ones included
+    n, word = scheme.n, scheme.word
+    assert _chamber_sets(n, word) == reference.chamber_sets(n, word)
+    assert isotopy_key(scheme) == reference.isotopy_key(scheme)
+    assert (chamber_minor_family(scheme)
+            == reference.chamber_minor_family(scheme))
+    assert available_moves(scheme) == [
+        Move(kind, p) for kind, p in reference.moves(word)]
+    tries = [(kind, p) for kind in (TRIVIAL2, MIXED2, BRAID3)
+             for p in range(-3, len(word) + 2)]
+    assert ([applied(scheme, kind, p) for kind, p in tries]
+            == [reference.moved_word(word, kind, p) for kind, p in tries])
+
+
+def test_open_gl3_words_match_reference_rules(open_gl3_schemes):
+    for s in open_gl3_schemes:
+        assert_matches_reference_rules(s)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_walked_schemes_match_reference_rules(n):
+    rng = random.Random(700 + n)
+    w0 = Permutation.longest_element(n)
+    cells = [(w0, w0)]
+    for _ in range(3):
+        u, v = list(range(1, n + 1)), list(range(1, n + 1))
+        rng.shuffle(u)
+        rng.shuffle(v)
+        cells.append((Permutation(u), Permutation(v)))
+    for u, v in cells:
+        scheme = seed_scheme(u, v)
+        for _ in range(40):
+            assert_matches_reference_rules(scheme)
+            arr = build_arrangement(scheme)
+            assert (arr.e_states, arr.f_states) == reference.line_states(
+                n, scheme.word)
+            scheme = apply_move(scheme, rng.choice(available_moves(scheme)))
+        assert scheme.cell_type == (u, v)
+
+
+def test_open_n30_seed_scheme_matches_reference_rules():
+    w0 = Permutation.longest_element(30)
+    scheme = seed_scheme(w0, w0)
+    assert_matches_reference_rules(scheme)
+    assert [(c.level, c.start, c.row_set, c.col_set)
+            for c in build_arrangement(scheme).chambers] == (
+        reference.chamber_sets(30, scheme.word))
+    # the label cache is bounded: nothing grows with 2^n
+    assert _labels.cache_info().maxsize is not None
+
+
+def test_isotopy_key_ignores_bullet_positions(open_gl3_schemes):
+    # the key depends only on the e/f subword: moving every h symbol to the
+    # end of the word leaves it unchanged
+    for s in open_gl3_schemes:
+        crossings = tuple(sym for sym in s.word if sym.kind != H)
+        bullets = tuple(sym for sym in s.word if sym.kind == H)
+        moved = FactorizationScheme.make(s.n, crossings + bullets)
+        assert isotopy_key(moved) == isotopy_key(s)
+
+
+def test_mismatched_sizes_raise_size_mismatch():
+    u3, v2 = Permutation.from_string("321"), Permutation.from_string("12")
+    for u, v in ((u3, v2), (v2, u3)):
+        with pytest.raises(SizeMismatch):
+            seed_scheme(u, v)
+        with pytest.raises(SizeMismatch):
+            enumerate_isotopy_types(u, v)
 
 
 def test_enumerate_matches_reference_walk_every_gl3_cell():
