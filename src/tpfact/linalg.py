@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import prod
 
 from .errors import (IndexOutOfRange, NotInG0, Singular, SizeMismatch,
                      ValidationError)
@@ -34,15 +35,20 @@ def scalar_to_str(value):
     return f"{value.numerator}/{value.denominator}"
 
 
-def check_index_set(indices, n):
-    """Validate a strictly increasing tuple of 1-based indices in [1, n]."""
-    indices = tuple(indices)
-    for a in indices:
-        if not isinstance(a, int) or not 1 <= a <= n:
-            raise IndexOutOfRange(f"index {a!r} outside [1, {n}]")
-    if any(indices[k] >= indices[k + 1] for k in range(len(indices) - 1)):
-        raise IndexOutOfRange(f"index set {indices} is not strictly increasing")
-    return indices
+def check_index_pair(row_set, col_set, n):
+    """Validate the row and column sets of a minor: strictly increasing
+    tuples of 1-based indices in [1, n], of the same size."""
+    pair = tuple(tuple(indices) for indices in (row_set, col_set))
+    for indices in pair:
+        for a in indices:
+            if not isinstance(a, int) or not 1 <= a <= n:
+                raise IndexOutOfRange(f"index {a!r} outside [1, {n}]")
+        if any(a >= b for a, b in zip(indices, indices[1:])):
+            raise IndexOutOfRange(f"index set {indices} is not strictly increasing")
+    rows, cols = pair
+    if len(rows) != len(cols):
+        raise SizeMismatch(f"row set size {len(rows)} != column set size {len(cols)}")
+    return pair
 
 
 class Matrix:
@@ -105,35 +111,45 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
+def _eliminate(m, k):
+    """In-place Gaussian elimination on the first k columns of the rows m.
+    The pivot is the first nonzero entry at or below the diagonal, each
+    multiplier is stored in the entry it clears, and the row operations
+    also act on any later columns.  Returns the first column without a
+    pivot (k if none) and the columns whose pivot needed a row swap."""
+    swaps = []
+    for c in range(k):
+        if not m[c][c]:
+            r = next((r for r in range(c + 1, len(m)) if m[r][c]), None)
+            if r is None:
+                return c, swaps
+            m[c], m[r] = m[r], m[c]
+            swaps.append(c)
+        top = m[c]
+        for row in m[c + 1:]:
+            if row[c]:
+                f = row[c] = row[c] / top[c]
+                row[c + 1:] = [a - f * b for a, b in zip(row[c + 1:], top[c + 1:])]
+    return k, swaps
+
+
 def minor(x, row_set, col_set):
     """Minor with the given 1-based row and column subsets.
 
-    Empty subsets give the empty minor, which is 1.  Uses Bareiss
-    elimination on the submatrix; division steps are exact.
+    Empty subsets give the empty minor, which is 1.  Otherwise it is the
+    signed product of the pivots of Gaussian elimination on the
+    submatrix, or 0 when a column has no pivot.
     """
-    rows = check_index_set(row_set, x.n)
-    cols = check_index_set(col_set, x.n)
-    if len(rows) != len(cols):
-        raise SizeMismatch(f"row set size {len(rows)} != column set size {len(cols)}")
+    rows, cols = check_index_pair(row_set, col_set, x.n)
     k = len(rows)
     if k == 0:
         return Fraction(1)
     m = [[x.rows[i - 1][j - 1] for j in cols] for i in rows]
-    sign = 1
-    prev = Fraction(1)
-    for c in range(k - 1):
-        pivot = next((r for r in range(c, k) if m[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        for r in range(c + 1, k):
-            for c2 in range(c + 1, k):
-                m[r][c2] = (m[r][c2] * m[c][c] - m[r][c] * m[c][c2]) / prev
-            m[r][c] = Fraction(0)
-        prev = m[c][c]
-    return sign * m[k - 1][k - 1]
+    stop, swaps = _eliminate(m, k)
+    if stop < k:
+        return Fraction(0)
+    value = prod((m[c][c] for c in range(1, k)), start=m[0][0])
+    return -value if len(swaps) % 2 else value
 
 
 def det(x):
@@ -152,43 +168,38 @@ def leading_principal_minors(x):
 def ldu_decompose(x):
     """Gaussian LDU factors (L unit lower, D diagonal, U unit upper).
 
-    Exists iff every leading principal minor is nonzero; the diagonal of
-    D is the sequence of ratios of consecutive leading principal minors.
+    They exist iff every leading principal minor is nonzero, so iff
+    elimination finds each pivot on the diagonal; L holds its multipliers
+    and D its pivots, the ratios of consecutive leading principal minors.
     """
     n = x.n
     work = [list(row) for row in x.rows]
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        if work[c][c] == 0:
-            raise NotInG0(f"leading principal minor of order {c + 1} vanishes")
-        for r in range(c + 1, n):
-            f = work[r][c] / work[c][c]
-            lower[r][c] = f
-            for c2 in range(c, n):
-                work[r][c2] -= f * work[c][c2]
+    stop, swaps = _eliminate(work, n)
+    if swaps or stop < n:
+        order = (swaps[0] if swaps else stop) + 1
+        raise NotInG0(f"leading principal minor of order {order} vanishes")
     d = [work[i][i] for i in range(n)]
+    lower = [[work[i][j] if j < i else Fraction(int(i == j)) for j in range(n)]
+             for i in range(n)]
     upper = [[work[i][j] / d[i] if j > i else Fraction(int(i == j))
               for j in range(n)] for i in range(n)]
     return Matrix(lower), Matrix.diagonal(d), Matrix(upper)
 
 
 def inverse(x):
-    """Inverse by Gauss-Jordan elimination with row pivoting."""
+    """Inverse by Gaussian elimination of [x | I] with row pivoting,
+    then back substitution on the right block."""
     n = x.n
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(x.rows)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if work[r][c] != 0), None)
-        if pivot is None:
-            raise Singular("matrix is not invertible")
-        work[c], work[pivot] = work[pivot], work[c]
-        p = work[c][c]
-        work[c] = [e / p for e in work[c]]
-        for r in range(n):
-            if r != c and work[r][c] != 0:
-                f = work[r][c]
-                work[r] = [e - f * g for e, g in zip(work[r], work[c])]
-    return Matrix([row[n:] for row in work])
+    work = [list(a + b) for a, b in zip(x.rows, Matrix.identity(n).rows)]
+    if _eliminate(work, n)[0] < n:
+        raise Singular("matrix is not invertible")
+    inv = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = work[i][n:]
+        for j in range(i + 1, n):
+            acc = [a - work[i][j] * b for a, b in zip(acc, inv[j])]
+        inv[i] = [a / work[i][i] for a in acc]
+    return Matrix(inv)
 
 
 def matrix_to_json(x):

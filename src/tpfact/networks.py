@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ArityMismatch, IndexOutOfRange, SizeMismatch
-from .linalg import Matrix, check_index_set
+from .errors import ArityMismatch, IndexOutOfRange
+from .linalg import Matrix, check_index_pair
 from .schemes import E, H
 
 
@@ -115,9 +115,6 @@ class Polynomial:
             total += term
         return total
 
-    def is_zero(self):
-        return not self.terms
-
     def coefficients_positive(self):
         return all(c > 0 for c in self.terms.values())
 
@@ -191,34 +188,21 @@ def sweep(word, sources, one, scale):
     return states
 
 
-def _symbolic(network, sources, sinks):
-    one = Polynomial.constant(network.nvars, 1)
-    ends = sweep(network.scheme.word, sources, one, Polynomial.times_variable)
-    return ends.get(frozenset(sinks), Polynomial(network.nvars))
-
-
 def build_network(scheme):
     return PlanarNetwork(scheme)
 
 
 def symbolic_entry(network, i, j):
     """Entry (i, j) of the product matrix as a path polynomial."""
-    n = network.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexOutOfRange(f"entry ({i}, {j}) outside [1, {n}]^2")
-    return _symbolic(network, (i,), (j,))
+    return symbolic_minor(network, (i,), (j,))
 
 
 def symbolic_minor(network, row_set, col_set):
     """Minor as a vertex-disjoint path family polynomial."""
-    rows = check_index_set(row_set, network.n)
-    cols = check_index_set(col_set, network.n)
-    if len(rows) != len(cols):
-        raise SizeMismatch(
-            f"row set size {len(rows)} != column set size {len(cols)}")
-    if not rows:
-        return Polynomial.constant(network.nvars, 1)
-    return _symbolic(network, rows, cols)
+    rows, cols = check_index_pair(row_set, col_set, network.n)
+    one = Polynomial.constant(network.nvars, 1)
+    ends = sweep(network.scheme.word, rows, one, Polynomial.times_variable)
+    return ends.get(frozenset(cols), Polynomial(network.nvars))
 
 
 def evaluate_network(network, values):

@@ -40,8 +40,7 @@ def is_tp(x):
     column interval contains 1), which are all positive exactly when x
     is totally positive (Gasca-Pena, after Fekete).
     """
-    return all(minor(x, rows, cols) > 0
-               for rows, cols in fekete_families(x.n)[0])
+    return _family_report(x, fekete_families(x.n)[0]).verdict
 
 
 def first_negative_minor(x):

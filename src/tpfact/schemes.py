@@ -70,10 +70,11 @@ class FactorizationScheme(NamedTuple):
                 if not 1 <= sym.index <= n:
                     raise BadHPart(f"h-index {sym.index} outside [1, {n}]")
                 h_indices.append(sym.index)
-            else:
-                if not 1 <= sym.index <= n - 1:
-                    raise BadToken(
-                        f"{sym.token} has level outside [1, {n - 1}] for n={n}")
+            elif sym.kind not in (E, F):
+                raise BadToken(f"unknown symbol kind {sym.kind!r} in {sym!r}")
+            elif not 1 <= sym.index <= n - 1:
+                raise BadToken(
+                    f"{sym.token} has level outside [1, {n - 1}] for n={n}")
         if sorted(h_indices) != list(range(1, n + 1)):
             raise BadHPart(
                 f"h-part {h_indices} is not a permutation of 1..{n}")

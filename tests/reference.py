@@ -9,6 +9,8 @@ faster or leaner routines against them.
 - The big-chamber solver: every crossing parameter read off four big
   chambers, each end monomial evaluated afresh from chamber minors.
 - Total positivity by definition: every minor of every order.
+- Minors by Bareiss's fraction-free elimination, the recurrence the
+  library used before its one Gaussian elimination.
 """
 
 from dataclasses import dataclass
@@ -270,6 +272,34 @@ def reference_solve(scheme, x):
             raise ZeroParameter(f"parameter at position {position} came out zero")
         values.append(t)
     return values
+
+
+# ---------------------------------------------------------------------------
+# minors
+
+
+def reference_minor(x, rows, cols):
+    """Minor by Bareiss elimination on the submatrix; each division by
+    the previous pivot is exact."""
+    k = len(rows)
+    if k == 0:
+        return Fraction(1)
+    m = [[x.rows[i - 1][j - 1] for j in cols] for i in rows]
+    sign = 1
+    prev = Fraction(1)
+    for c in range(k - 1):
+        pivot = next((r for r in range(c, k) if m[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        for r in range(c + 1, k):
+            for c2 in range(c + 1, k):
+                m[r][c2] = (m[r][c2] * m[c][c] - m[r][c] * m[c][c2]) / prev
+            m[r][c] = Fraction(0)
+        prev = m[c][c]
+    return sign * m[k - 1][k - 1]
 
 
 # ---------------------------------------------------------------------------

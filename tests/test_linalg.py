@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from tpfact.errors import NotInG0, SizeMismatch, Singular, ValidationError
+from reference import reference_minor
+from tpfact.errors import (IndexOutOfRange, NotInG0, SizeMismatch, Singular,
+                           ValidationError)
 from tpfact.linalg import (
     Matrix,
     det,
@@ -63,6 +65,12 @@ def test_multiply_size_mismatch():
         a * b
 
 
+def sparse_matrix(n, rng):
+    # entries in {-1, 0, 1}: zero pivots and row swaps are common
+    return Matrix([[rng.choice((-1, 0, 0, 1)) for _ in range(n)]
+                   for _ in range(n)])
+
+
 def test_minor_against_permutation_expansion():
     rng = random.Random(0)
     for n in (2, 3, 4):
@@ -72,6 +80,20 @@ def test_minor_against_permutation_expansion():
                 rows = tuple(sorted(rng.sample(range(1, n + 1), k)))
                 cols = tuple(sorted(rng.sample(range(1, n + 1), k)))
                 assert minor(x, rows, cols) == det_by_expansion(x, rows, cols)
+
+
+def test_sparse_minors_against_bareiss_and_expansion():
+    rng = random.Random(5)
+    for n in range(2, 7):
+        for _ in range(12):
+            x = sparse_matrix(n, rng)
+            for k in range(1, n + 1):
+                for rows in itertools.combinations(range(1, n + 1), k):
+                    for cols in itertools.combinations(range(1, n + 1), k):
+                        value = minor(x, rows, cols)
+                        assert value == reference_minor(x, rows, cols)
+                        if n <= 4:
+                            assert value == det_by_expansion(x, rows, cols)
 
 
 def test_minor_empty_sets_is_one():
@@ -87,6 +109,10 @@ def test_minor_validates_index_sets():
         minor(x, (1,), (4,))
     with pytest.raises(ValidationError):
         minor(x, (1, 2), (1,))
+    with pytest.raises(IndexOutOfRange):
+        minor(x, ("a",), (1,))
+    with pytest.raises(IndexOutOfRange):
+        minor(x, (1,), (0,))
 
 
 def test_det_matches_full_minor():
@@ -131,6 +157,12 @@ def test_ldu_requires_nonzero_leading_minors():
     x = Matrix(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
     with pytest.raises(NotInG0):
         ldu_decompose(x)
+    # leading minors 1, 0, -1: elimination swaps rows at the second pivot
+    x = Matrix([[1, 1, 0], [1, 1, 1], [0, 1, 0]])
+    assert leading_principal_minors(x) == [1, 0, -1]
+    with pytest.raises(NotInG0) as info:
+        ldu_decompose(x)
+    assert str(info.value) == "leading principal minor of order 2 vanishes"
 
 
 def test_inverse_round_trip_and_singular():
@@ -142,9 +174,17 @@ def test_inverse_round_trip_and_singular():
             continue
         assert x * inverse(x) == Matrix.identity(3)
         done += 1
-    singular = Matrix(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))))
-    with pytest.raises(Singular):
-        inverse(singular)
+    # signed permutation matrices: zero diagonals force row swaps
+    for n in (1, 2, 3, 4):
+        for perm in itertools.permutations(range(n)):
+            for signs in itertools.product((1, -1), repeat=n):
+                x = Matrix([[signs[i] if j == perm[i] else 0 for j in range(n)]
+                            for i in range(n)])
+                assert inverse(x) == x.transpose()
+    for singular in (Matrix(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)))),
+                     Matrix([[0, 1, 0], [1, 0, -1], [0, -1, 0]])):
+        with pytest.raises(Singular, match="matrix is not invertible"):
+            inverse(singular)
 
 
 def test_scalar_strings():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tpfact.errors import ArityMismatch
+from tpfact.errors import ArityMismatch, IndexOutOfRange
 from tpfact.linalg import Matrix, minor
 from tpfact.networks import (
     Polynomial,
@@ -95,6 +95,18 @@ def test_gl2_entries():
     assert symbolic_entry(net, 1, 2) == t[0] * t[3]
     assert symbolic_entry(net, 2, 1) == t[1]
     assert symbolic_entry(net, 2, 2) == t[1] * t[3] + t[2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda net: symbolic_entry(net, "a", 1),
+    lambda net: symbolic_entry(net, 1, 3),
+    lambda net: symbolic_minor(net, (1,), (1.5,)),
+    lambda net: symbolic_minor(net, (0,), (1,)),
+], ids=["entry-non-integer", "entry-out-of-range",
+        "minor-non-integer", "minor-out-of-range"])
+def test_bad_indices_raise_index_out_of_range(call):
+    with pytest.raises(IndexOutOfRange):
+        call(build_network(parse_scheme("h1 f1 h2 e1")))
 
 
 def test_running_example_monomials():

@@ -163,6 +163,9 @@ def test_validation_errors():
         parse_scheme("h1 h2 e1 e1")
     with pytest.raises(NotReducedF):
         parse_scheme("h1 h2 f1 f1")
+    with pytest.raises(BadToken, match="unknown symbol kind 'X'"):
+        FactorizationScheme.make(
+            2, [SchemeSymbol("X", 1), SchemeSymbol(H, 1), SchemeSymbol(H, 2)])
 
 
 def test_running_example_chambers():
