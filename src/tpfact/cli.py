@@ -239,6 +239,8 @@ def build_parser():
 
 
 def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # print exact results of any size
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

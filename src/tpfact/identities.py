@@ -102,63 +102,50 @@ class ExchangeCertificate(NamedTuple):
         return _products_add_up(x, (self.lhs, self.rhs1, self.rhs2))
 
 
-def _match_dodgson(a, b):
-    rows_a, cols_a = a
-    rows_b, cols_b = b
-    if len(rows_a) != len(rows_b):
+def _match_exchange(old, new):
+    """The certificate whose identity has old and new on its left side,
+    by the rule exchange_certificate states, or None."""
+    if len(old[0]) == len(new[0]):
+        (rows_a, cols_a), (rows_b, cols_b) = old, new
+        ri = sorted(set(rows_a) ^ set(rows_b))
+        rj = sorted(set(cols_a) ^ set(cols_b))
+        # the exchanged pair must be the diagonal products (i with j)
+        if (len(ri) != 2 or len(rj) != 2
+                or (ri[0] in rows_a) != (rj[0] in cols_a)):
+            return None
+        I, J = set(rows_a) & set(rows_b), set(cols_a) & set(cols_b)
+        return ExchangeCertificate("dodgson", (old, new),
+                                   *dodgson_terms(I, J, *ri, *rj))
+    (rows_s, cols_s), (rows_l, cols_l) = sorted(
+        (old, new), key=lambda pair: len(pair[0]))
+    transposed = not set(rows_s) <= set(rows_l)
+    if transposed:
+        rows_s, cols_s, rows_l, cols_l = cols_s, rows_s, cols_l, rows_l
+    # want rows_l = I + {p}, rows_s = I, cols_l = L + {i, k}, cols_s = L + {j}
+    extra = set(rows_l) - set(rows_s)
+    mid = set(cols_s) - set(cols_l)
+    ends = sorted(set(cols_l) - set(cols_s))
+    if not (set(rows_s) <= set(rows_l) and len(extra) == len(mid) == 1
+            and len(ends) == 2 and ends[0] < min(mid) < ends[1]):
         return None
-    ri, rj = set(rows_a) ^ set(rows_b), set(cols_a) ^ set(cols_b)
-    if len(ri) != 2 or len(rj) != 2:
-        return None
-    I = tuple(sorted(set(rows_a) & set(rows_b)))
-    J = tuple(sorted(set(cols_a) & set(cols_b)))
-    i, ip = sorted(ri)
-    j, jp = sorted(rj)
-    # the exchanged pair must be the diagonal products (i with j)
-    if not ((i in rows_a) == (j in cols_a)):
-        return None
-    return dodgson_terms(I, J, i, ip, j, jp), "dodgson"
-
-
-def _match_plucker(a, b):
-    """Try both orientations and both versions of the three-term identity."""
-    for first, second in ((a, b), (b, a)):
-        for transposed in (False, True):
-            rows_s, cols_s = first if not transposed else (first[1], first[0])
-            rows_l, cols_l = second if not transposed else (second[1], second[0])
-            # want rows_l = I + {p}, rows_s = I, cols_l = L+{i,k}, cols_s = L+{j}
-            if len(rows_l) != len(rows_s) + 1:
-                continue
-            if not set(rows_s) <= set(rows_l):
-                continue
-            extra_p = set(rows_l) - set(rows_s)
-            mid = set(cols_s) - set(cols_l)
-            ends = set(cols_l) - set(cols_s)
-            if len(extra_p) != 1 or len(mid) != 1 or len(ends) != 2:
-                continue
-            (p,), (j,) = tuple(extra_p), tuple(mid)
-            i, k = sorted(ends)
-            if not i < j < k:
-                continue
-            L = tuple(sorted(set(cols_l) & set(cols_s)))
-            I = tuple(sorted(rows_s))
-            try:
-                terms = plucker_terms(I, L, i, j, k, p, transposed)
-            except PreconditionViolated:
-                continue
-            return terms, "plucker-rows" if transposed else "plucker-cols"
-    return None
+    (p,), (j,), (i, k) = extra, mid, ends
+    L = set(cols_l) & set(cols_s)
+    return ExchangeCertificate(
+        "plucker-rows" if transposed else "plucker-cols", (old, new),
+        *plucker_terms(rows_s, L, i, j, k, p, transposed))
 
 
 def exchange_certificate(scheme, move):
     """The identity instance behind a braid3 or mixed2 exchange.
 
-    The index data is read off the exchanged pair itself: for a mixed2
-    move the two minors share all but one row and one column index and
-    fill the Dodgson pattern; for a braid3 move their sizes differ by
-    one and the nested side determines the three-term version.  The
-    remaining four minors of the instance are checked against the two
-    chamber families (the empty minor, a constant 1, may also appear).
+    The exchanged pair's sizes pick the identity.  Minors of one size
+    (a mixed2 move) must differ in one row and one column index on the
+    diagonal of the Dodgson pattern.  Sizes one apart (every braid3 move
+    changes the level of its triangle chamber) fit the three-term
+    identity: the column version when the smaller row set lies inside
+    the larger, else the row version.  The other four minors of the
+    instance must be shared by both chamber families (or be the empty
+    minor, a constant 1).
     """
     if move.kind not in (BRAID3, MIXED2):
         raise NotAnExchange(f"{move.kind} moves do not exchange minors")
@@ -171,16 +158,10 @@ def exchange_certificate(scheme, move):
             f"move exchanges {len(gone)} against {len(came)} minors, not 1-1")
     old, new = gone[0], came[0]
 
-    matched = None
-    if move.kind == MIXED2:
-        matched = _match_dodgson(old, new)
-    if matched is None:
-        matched = _match_plucker(old, new)
-    if matched is None:
+    certificate = _match_exchange(old, new)
+    if certificate is None:
         raise NotAnExchange(
             f"exchanged pair {old} / {new} fits no identity pattern")
-    groups, name = matched
-    certificate = ExchangeCertificate(name, (old, new), *groups)
 
     shared = set(before) & set(after)
     empty = ((), ())

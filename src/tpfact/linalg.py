@@ -20,6 +20,9 @@ def scalar_from_str(text):
     """Parse "p" or "p/q" into a Fraction."""
     if not isinstance(text, str):
         raise ValidationError(f"rational literal {text!r} is not a string")
+    if "e" in text.lower():
+        # Fraction would accept it and build 10**exponent, however large
+        raise ValidationError(f"rational literal {text!r} has an exponent")
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -84,7 +87,7 @@ class Matrix:
 
     def entry(self, i, j):
         """1-based entry access."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
+        if not all(isinstance(a, int) and 1 <= a <= self.n for a in (i, j)):
             raise IndexOutOfRange(f"entry ({i}, {j}) outside [1, {self.n}]^2")
         return self.rows[i - 1][j - 1]
 

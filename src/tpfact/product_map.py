@@ -63,12 +63,11 @@ def product(scheme, values):
 def commute_h(scheme, values, position):
     """Swap an adjacent pair involving a circled symbol, fixing the product.
 
-    position is 1-based and names the left member of the pair.  The
-    parameter updates follow the commutation rules: pushing h<j> left
-    through e<i> divides the e-parameter by the h-parameter when j = i
-    and multiplies it when j = i+1, and the other way around for f<i>;
-    the symmetric rules apply when pushing h<j> right.  Pairs whose
-    indices do not interact commute with no parameter change.
+    position is 1-based and names the left member of the pair.  The two
+    parameters swap places, and a crossing x_i passed by h<j> = h(s)
+    follows h x_i(t) = x_i(t s^p) h, p = <alpha_i, e_j> = [j = i] -
+    [j = i+1], with p negated for an f-crossing and negated again when
+    h<j> moves left.  Two bullets just swap.
     """
     values = [Fraction(v) for v in values]
     if len(values) != scheme.length:
@@ -76,37 +75,25 @@ def commute_h(scheme, values, position):
             f"{len(values)} parameters for a length-{scheme.length} scheme")
     if not 1 <= position <= scheme.length - 1:
         raise BadToken(f"position {position} has no right neighbor")
-    a_sym = scheme.word[position - 1]
-    b_sym = scheme.word[position]
-    a, b = values[position - 1], values[position]
-    if (a_sym.kind == H and a == 0) or (b_sym.kind == H and b == 0):
+    k = position - 1
+    pair = scheme.word[k:k + 2]
+    if any(sym.kind == H and t == 0 for sym, t in zip(pair, values[k:])):
         raise ZeroDiagonal("circled symbols require nonzero parameters")
-
-    if a_sym.kind == H and b_sym.kind == H:
-        new_a, new_b = b, a
-    elif a_sym.kind in (E, F) and b_sym.kind == H:
-        i, j = a_sym.index, b_sym.index
-        if j == i:
-            moved = a / b if a_sym.kind == E else a * b
-        elif j == i + 1:
-            moved = a * b if a_sym.kind == E else a / b
-        else:
-            moved = a
-        new_a, new_b = b, moved
-    elif a_sym.kind == H and b_sym.kind in (E, F):
-        j, i = a_sym.index, b_sym.index
-        if j == i:
-            moved = b * a if b_sym.kind == E else b / a
-        elif j == i + 1:
-            moved = b / a if b_sym.kind == E else b * a
-        else:
-            moved = b
-        new_a, new_b = moved, a
-    else:
+    left, right = pair
+    kinds = {left.kind, right.kind}
+    if H not in kinds or not kinds <= {E, F, H}:
         raise BadToken(
-            f"pair ({a_sym.token}, {b_sym.token}) has no circled symbol")
+            f"pair ({left.token}, {right.token}) has no circled symbol")
 
     word = list(scheme.word)
-    word[position - 1], word[position] = b_sym, a_sym
-    values[position - 1], values[position] = new_a, new_b
+    word[k], word[k + 1] = right, left
+    values[k], values[k + 1] = values[k + 1], values[k]
+    if kinds != {H}:
+        # the slots of the crossing and of h<j> after the swap
+        c, h = (k, k + 1) if left.kind == H else (k + 1, k)
+        i, j = word[c].index, word[h].index
+        power = (j == i) - (j == i + 1)
+        if (word[c].kind == E) != (h > c):
+            power = -power
+        values[c] *= values[h] ** power
     return FactorizationScheme(scheme.n, tuple(word)), values

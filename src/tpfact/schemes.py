@@ -66,6 +66,8 @@ class FactorizationScheme(NamedTuple):
         n = self.n
         h_indices = []
         for sym in self.word:
+            if not isinstance(sym.index, int):
+                raise BadToken(f"symbol {sym!r} has a non-integer index")
             if sym.kind == H:
                 if not 1 <= sym.index <= n:
                     raise BadHPart(f"h-index {sym.index} outside [1, {n}]")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ZeroMinor, ZeroParameter
+from .errors import ArityMismatch, ZeroMinor, ZeroParameter
 from .linalg import minor
 from .schemes import E, F, H, build_arrangement
 from .twist import twist
@@ -123,6 +123,9 @@ def chamber_values_from_parameters(scheme, values):
     Returns a dict mapping each chamber to the value.
     """
     values = [Fraction(r) for r in values]
+    if len(values) != scheme.length:
+        raise ArityMismatch(
+            f"{len(values)} parameters for a length-{scheme.length} scheme")
     arrangement = build_arrangement(scheme)
     e_states, f_states = arrangement.e_states, arrangement.f_states
     out = {}

@@ -11,6 +11,10 @@ faster or leaner routines against them.
 - Total positivity by definition: every minor of every order.
 - Minors by Bareiss's fraction-free elimination, the recurrence the
   library used before its one Gaussian elimination.
+- The h-commutation spelled out case by case (h on either side, j = i,
+  j = i + 1 or another j), and exchange certificates found by trying the
+  Dodgson pattern, then both orientations and both versions of the
+  three-term identity.
 """
 
 from dataclasses import dataclass
@@ -18,10 +22,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from tpfact.errors import ValidationError, ZeroParameter
+from tpfact.errors import (ArityMismatch, BadToken, NotAnExchange,
+                           PreconditionViolated, ValidationError,
+                           ZeroDiagonal, ZeroParameter)
+from tpfact.identities import (ExchangeCertificate, dodgson_terms,
+                               plucker_terms)
 from tpfact.linalg import minor
 from tpfact.permutations import Permutation
 from tpfact.schemes import (BRAID3, E, F, H, MIXED2, TRIVIAL2,
+                            FactorizationScheme, apply_move,
                             build_arrangement)
 from tpfact.solver import chamber_minor
 from tpfact.twist import twist
@@ -313,3 +322,137 @@ def reference_is_tp(x):
     return all(minor(x, rows, cols) > 0
                for rows in index_sets for cols in index_sets
                if len(rows) == len(cols))
+
+
+# ---------------------------------------------------------------------------
+# local moves on parameters and their exchange identities
+
+
+def reference_commute_h(scheme, values, position):
+    """Swap an adjacent pair involving a circled symbol, fixing the product,
+    one branch per side of h<j> and per j = i, j = i+1 or other j."""
+    values = [Fraction(v) for v in values]
+    if len(values) != scheme.length:
+        raise ArityMismatch(
+            f"{len(values)} parameters for a length-{scheme.length} scheme")
+    if not 1 <= position <= scheme.length - 1:
+        raise BadToken(f"position {position} has no right neighbor")
+    a_sym = scheme.word[position - 1]
+    b_sym = scheme.word[position]
+    a, b = values[position - 1], values[position]
+    if (a_sym.kind == H and a == 0) or (b_sym.kind == H and b == 0):
+        raise ZeroDiagonal("circled symbols require nonzero parameters")
+
+    if a_sym.kind == H and b_sym.kind == H:
+        new_a, new_b = b, a
+    elif a_sym.kind in (E, F) and b_sym.kind == H:
+        i, j = a_sym.index, b_sym.index
+        if j == i:
+            moved = a / b if a_sym.kind == E else a * b
+        elif j == i + 1:
+            moved = a * b if a_sym.kind == E else a / b
+        else:
+            moved = a
+        new_a, new_b = b, moved
+    elif a_sym.kind == H and b_sym.kind in (E, F):
+        j, i = a_sym.index, b_sym.index
+        if j == i:
+            moved = b * a if b_sym.kind == E else b / a
+        elif j == i + 1:
+            moved = b / a if b_sym.kind == E else b * a
+        else:
+            moved = b
+        new_a, new_b = moved, a
+    else:
+        raise BadToken(
+            f"pair ({a_sym.token}, {b_sym.token}) has no circled symbol")
+
+    word = list(scheme.word)
+    word[position - 1], word[position] = b_sym, a_sym
+    values[position - 1], values[position] = new_a, new_b
+    return FactorizationScheme(scheme.n, tuple(word)), values
+
+
+def _match_dodgson(a, b):
+    rows_a, cols_a = a
+    rows_b, cols_b = b
+    if len(rows_a) != len(rows_b):
+        return None
+    ri, rj = set(rows_a) ^ set(rows_b), set(cols_a) ^ set(cols_b)
+    if len(ri) != 2 or len(rj) != 2:
+        return None
+    I = tuple(sorted(set(rows_a) & set(rows_b)))
+    J = tuple(sorted(set(cols_a) & set(cols_b)))
+    i, ip = sorted(ri)
+    j, jp = sorted(rj)
+    # the exchanged pair must be the diagonal products (i with j)
+    if not ((i in rows_a) == (j in cols_a)):
+        return None
+    return dodgson_terms(I, J, i, ip, j, jp), "dodgson"
+
+
+def _match_plucker(a, b):
+    """Try both orientations and both versions of the three-term identity."""
+    for first, second in ((a, b), (b, a)):
+        for transposed in (False, True):
+            rows_s, cols_s = first if not transposed else (first[1], first[0])
+            rows_l, cols_l = second if not transposed else (second[1], second[0])
+            # want rows_l = I + {p}, rows_s = I, cols_l = L+{i,k}, cols_s = L+{j}
+            if len(rows_l) != len(rows_s) + 1:
+                continue
+            if not set(rows_s) <= set(rows_l):
+                continue
+            extra_p = set(rows_l) - set(rows_s)
+            mid = set(cols_s) - set(cols_l)
+            ends = set(cols_l) - set(cols_s)
+            if len(extra_p) != 1 or len(mid) != 1 or len(ends) != 2:
+                continue
+            (p,), (j,) = tuple(extra_p), tuple(mid)
+            i, k = sorted(ends)
+            if not i < j < k:
+                continue
+            L = tuple(sorted(set(cols_l) & set(cols_s)))
+            I = tuple(sorted(rows_s))
+            try:
+                terms = plucker_terms(I, L, i, j, k, p, transposed)
+            except PreconditionViolated:
+                continue
+            return terms, "plucker-rows" if transposed else "plucker-cols"
+    return None
+
+
+def reference_exchange_certificate(scheme, move):
+    """The identity instance behind a braid3 or mixed2 exchange: the
+    Dodgson pattern first for a mixed2 move, then every orientation of
+    the three-term identity."""
+    if move.kind not in (BRAID3, MIXED2):
+        raise NotAnExchange(f"{move.kind} moves do not exchange minors")
+    before = chamber_minor_family(scheme)
+    after = chamber_minor_family(apply_move(scheme, move))
+    gone = sorted(set(before) - set(after))
+    came = sorted(set(after) - set(before))
+    if len(gone) != 1 or len(came) != 1:
+        raise NotAnExchange(
+            f"move exchanges {len(gone)} against {len(came)} minors, not 1-1")
+    old, new = gone[0], came[0]
+
+    matched = None
+    if move.kind == MIXED2:
+        matched = _match_dodgson(old, new)
+    if matched is None:
+        matched = _match_plucker(old, new)
+    if matched is None:
+        raise NotAnExchange(
+            f"exchanged pair {old} / {new} fits no identity pattern")
+    groups, name = matched
+    certificate = ExchangeCertificate(name, (old, new), *groups)
+
+    shared = set(before) & set(after)
+    empty = ((), ())
+    for pair in certificate.rhs1 + certificate.rhs2:
+        if pair not in shared and pair != empty:
+            raise NotAnExchange(
+                f"companion minor {pair} is not shared by both families")
+    if set(certificate.lhs) != {old, new}:
+        raise NotAnExchange("identity left side is not the exchanged pair")
+    return certificate

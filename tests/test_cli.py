@@ -156,12 +156,13 @@ def test_exit_codes(tmp_path, capsys):
      {"n": 2, "entries": [["5", "2"], ["2", "1"]]}),
     (["check", "--matrix", "-", "--mode", "chamberset", "--u", "1,,2",
       "--v", "21"], {"n": 2, "entries": [["5", "2"], ["2", "1"]]}),
+    (["cell", "--matrix", "-"], {"entries": [["1e100000000"]]}),
 ], ids=["numeric-entries", "entries-scalar", "numeric-params",
         "params-not-a-list", "fuzz-negative-trials", "size-string",
         "size-bool", "twist-wrong-size", "enumerate-empty-part",
         "enumerate-superscript-digit", "enumerate-size-mismatch",
         "twist-non-numeric-part",
-        "chamberset-empty-part"])
+        "chamberset-empty-part", "exponent-literal"])
 def test_malformed_input_exits_2(argv, stdin, capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin",
@@ -192,6 +193,21 @@ def test_stdin_matrix(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, "cell", "--matrix", "-")
     assert code == 0
     assert json.loads(out) == {"u": "12", "v": "12"}
+
+
+def test_product_prints_results_of_any_size():
+    # a fresh interpreter, so that the lifted int-to-str limit is the CLI's
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tpfact.__file__)))
+    big = "9" * 3000
+    out = subprocess.run(
+        [sys.executable, "-m", "tpfact.cli", "product",
+         "--scheme", "h1 f1 h2 e1", "--params", "-"],
+        input=json.dumps({"t": [big, "1", "1", big]}),
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True)
+    entries = json.loads(out.stdout)["entries"]
+    # (10^3000 - 1)^2 = 10^6000 - 2 * 10^3000 + 1
+    assert entries[0][1] == "9" * 2999 + "8" + "0" * 2999 + "1"
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

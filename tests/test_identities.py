@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tpfact.errors import NotAnExchange, PreconditionViolated
+from reference import reference_exchange_certificate
+from tpfact.errors import NotAnExchange, PreconditionViolated, ValidationError
 from tpfact.identities import (
     check_dodgson,
     check_plucker,
@@ -13,8 +15,9 @@ from tpfact.identities import (
     plucker_terms,
 )
 from tpfact.linalg import Matrix, minor
-from tpfact.permutations import Permutation
-from tpfact.schemes import Move, apply_move, available_moves, parse_scheme, seed_scheme
+from tpfact.permutations import Permutation, all_permutations
+from tpfact.schemes import (Move, apply_move, available_moves,
+                            enumerate_isotopy_types, parse_scheme, seed_scheme)
 
 
 def rand_matrix(n, rng):
@@ -145,6 +148,36 @@ def test_certificate_gives_subtraction_free_update():
         prod1 = minor(x, *cert.rhs1[0]) * minor(x, *cert.rhs1[1])
         prod2 = minor(x, *cert.rhs2[0]) * minor(x, *cert.rhs2[1])
         assert minor(x, *new) == (prod1 + prod2) / old_val
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def test_exchange_certificate_matches_reference():
+    # every move of every isotopy representative of the 36 GL_3 cells,
+    # then of every scheme on 30-move walks from seeds of random GL_4 cells
+    schemes = [node.scheme for u in all_permutations(3)
+               for v in all_permutations(3)
+               for node in enumerate_isotopy_types(u, v).nodes]
+    rng = random.Random(57)
+    perms = all_permutations(4)
+    for _ in range(20):
+        sch = seed_scheme(rng.choice(perms), rng.choice(perms))
+        for _ in range(30):
+            sch = apply_move(sch, rng.choice(available_moves(sch)))
+            schemes.append(sch)
+    seen = Counter()
+    for sch in schemes:
+        for mv in available_moves(sch):
+            got = outcome(exchange_certificate, sch, mv)
+            assert got == outcome(reference_exchange_certificate, sch, mv)
+            seen[got[0] if isinstance(got[0], str) else mv.kind] += 1
+    assert min(seen[name] for name in
+               ("plucker-cols", "plucker-rows", "dodgson", "trivial2")) > 50
 
 
 def test_fuzz_deterministic_and_clean():

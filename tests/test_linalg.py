@@ -196,6 +196,19 @@ def test_scalar_strings():
         scalar_from_str("1.5x")
 
 
+@pytest.mark.parametrize("text", ["1e100000000", "2E3", "-1.5e-2", "1/1e9"])
+def test_scalar_rejects_exponents(text):
+    # Fraction would accept these and build 10**exponent before returning
+    with pytest.raises(ValidationError, match=f"literal {text!r} has an exp"):
+        scalar_from_str(text)
+
+
+@pytest.mark.parametrize("i, j", [("a", 1), (1, 1.0), (None, 2)])
+def test_entry_rejects_non_integer_index(i, j):
+    with pytest.raises(IndexOutOfRange, match=r"entry \("):
+        Matrix.identity(2).entry(i, j)
+
+
 def test_json_round_trip():
     x = Matrix(((Fraction(1, 2), Fraction(0)), (Fraction(-3), Fraction(7))))
     blob = matrix_to_json(x)

@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from tpfact.errors import ArityMismatch, BadToken, ZeroDiagonal
+from reference import reference_commute_h
+from tpfact.errors import (ArityMismatch, BadToken, PreconditionError,
+                           ValidationError, ZeroDiagonal)
 from tpfact.linalg import Matrix
+from tpfact.permutations import all_permutations
 from tpfact.product_map import commute_h, elementary, product
-from tpfact.schemes import FactorizationScheme, SchemeSymbol, parse_scheme
+from tpfact.schemes import (FactorizationScheme, SchemeSymbol, apply_move,
+                            available_moves, parse_scheme, seed_scheme)
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
 
@@ -112,6 +116,33 @@ def test_commute_h_distant_index_keeps_values():
     assert str(out_sch) == "h3 e1 h1 h2"
     assert out_vals[:2] == [Fraction(9), Fraction(4)]
     assert product(out_sch, out_vals) == product(sch, vals)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValidationError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_commute_h_matches_case_by_case_reference():
+    # every position 0..l, the invalid ones included, of move-walked
+    # schemes in random cells, at signed parameters with some zeros
+    rng = random.Random(12)
+    applied = 0
+    for n in (2, 3, 4):
+        perms = all_permutations(n)
+        for _ in range(40):
+            sch = seed_scheme(rng.choice(perms), rng.choice(perms))
+            for _ in range(rng.randint(0, 40)):
+                sch = apply_move(sch, rng.choice(available_moves(sch)))
+            vals = [Fraction(rng.randint(-9, 9) * (rng.random() > 0.1),
+                             rng.randint(1, 5)) for _ in range(sch.length)]
+            for pos in range(sch.length + 1):
+                got = outcome(commute_h, sch, vals, pos)
+                assert got == outcome(reference_commute_h, sch, vals, pos)
+                applied += isinstance(got[0], FactorizationScheme)
+    assert applied > 300
 
 
 def test_identity_product():

@@ -168,6 +168,15 @@ def test_validation_errors():
             2, [SchemeSymbol("X", 1), SchemeSymbol(H, 1), SchemeSymbol(H, 2)])
 
 
+@pytest.mark.parametrize("symbol", [SchemeSymbol(E, "1"), SchemeSymbol(F, 1.0),
+                                    SchemeSymbol(H, None)])
+def test_validation_names_a_non_integer_index(symbol):
+    word = [symbol, SchemeSymbol(H, 1), SchemeSymbol(H, 2)]
+    with pytest.raises(BadToken, match="non-integer index") as info:
+        FactorizationScheme.make(2, word)
+    assert repr(symbol) in str(info.value)
+
+
 def test_running_example_chambers():
     arr = build_arrangement(parse_scheme(RUNNING))
     lv1 = [(c.sets, c.type) for c in arr.chambers_at_level(1)]

@@ -11,8 +11,8 @@ from reference import (
     reference_solve,
 )
 from tpfact.bruhat import double_cell_of
-from tpfact.errors import (DecompositionFailure, WrongCell, ZeroMinor,
-                           ZeroParameter)
+from tpfact.errors import (ArityMismatch, DecompositionFailure, WrongCell,
+                           ZeroMinor, ZeroParameter)
 from tpfact.linalg import Matrix, det, minor
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.product_map import product
@@ -233,6 +233,14 @@ def test_inverse_ansatz_names_a_zero_parameter():
         message = f"parameter at position {position} is zero but required"
         with pytest.raises(ZeroParameter, match=message):
             chamber_values_from_parameters(sch, zeroed)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_inverse_ansatz_checks_the_parameter_count(count):
+    with pytest.raises(ArityMismatch,
+                       match=f"{count} parameters for a length-4 scheme"):
+        chamber_values_from_parameters(parse_scheme("h1 f1 h2 e1"),
+                                       range(1, count + 1))
 
 
 def random_walk(scheme, steps, rng):
