@@ -15,7 +15,8 @@ import sys
 from .bruhat import double_cell_of
 from .errors import PreconditionError, ValidationError
 from .identities import fuzz
-from .linalg import matrix_from_json_text, matrix_to_json, scalar_from_str, scalar_to_str
+from .linalg import (matrix_from_json_text, matrix_to_json, parse_json,
+                     scalar_from_str, scalar_to_str)
 from .permutations import Permutation
 from .positivity import (
     CriterionReport,
@@ -59,7 +60,7 @@ def _load_matrix(path):
 
 
 def _load_params(path):
-    data = json.loads(_read_text(path))
+    data = parse_json(_read_text(path))
     if not isinstance(data, dict) or not isinstance(data.get("t"), list):
         raise ValidationError('parameter file must be an object with a "t" list')
     return [scalar_from_str(item) for item in data["t"]]
@@ -239,8 +240,6 @@ def build_parser():
 
 
 def main(argv=None):
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # print exact results of any size
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -16,6 +16,18 @@ from .errors import (IndexOutOfRange, NotInG0, Singular, SizeMismatch,
                      ValidationError)
 
 
+# The longest integer an input literal may spell out: Python's default
+# int-from-str limit, as decimal-to-int conversion takes quadratic time.
+MAX_LITERAL_DIGITS = 4300
+
+
+def _check_digits(text, what):
+    if len(text) > MAX_LITERAL_DIGITS and any(
+            sum(map(str.isdigit, part)) > MAX_LITERAL_DIGITS for part in text.split("/")):
+        raise ValidationError(f"{what} {text[:20]!r}... has more than "
+                              f"{MAX_LITERAL_DIGITS} digits")
+
+
 def scalar_from_str(text):
     """Parse "p" or "p/q" into a Fraction."""
     if not isinstance(text, str):
@@ -23,6 +35,7 @@ def scalar_from_str(text):
     if "e" in text.lower():
         # Fraction would accept it and build 10**exponent, however large
         raise ValidationError(f"rational literal {text!r} has an exponent")
+    _check_digits(text, "rational literal")
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -30,12 +43,22 @@ def scalar_from_str(text):
     return value
 
 
+def _int_to_str(value):
+    try:
+        return str(value)
+    except ValueError:
+        # past Python's int-to-str digit limit, kept as it bounds parsing:
+        # Decimal converts exactly without it
+        from decimal import Decimal
+        return str(Decimal(value))
+
+
 def scalar_to_str(value):
     """Canonical string form: reduced, positive denominator, "p" or "p/q"."""
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_to_str(value.numerator)
+    return f"{_int_to_str(value.numerator)}/{_int_to_str(value.denominator)}"
 
 
 def check_index_pair(row_set, col_set, n):
@@ -227,9 +250,18 @@ def matrix_from_json(data):
     return x
 
 
+def parse_json(text):
+    """json.loads, except that an integer literal over MAX_LITERAL_DIGITS
+    digits raises ValidationError before it is converted."""
+    def parse_int(literal):
+        _check_digits(literal, "JSON integer")
+        return int(literal)
+    return json.loads(text, parse_int=parse_int)
+
+
 def matrix_from_json_text(text):
     try:
-        data = json.loads(text)
+        data = parse_json(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad matrix JSON: {exc}") from exc
     return matrix_from_json(data)

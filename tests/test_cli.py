@@ -157,16 +157,24 @@ def test_exit_codes(tmp_path, capsys):
     (["check", "--matrix", "-", "--mode", "chamberset", "--u", "1,,2",
       "--v", "21"], {"n": 2, "entries": [["5", "2"], ["2", "1"]]}),
     (["cell", "--matrix", "-"], {"entries": [["1e100000000"]]}),
+    (["cell", "--matrix", "-"], {"entries": [["9" * 5000]]}),
+    (["product", "--scheme", "h1 f1 h2 e1", "--params", "-"],
+     {"t": ["1/" + "3" * 5000, "1", "1", "1"]}),
+    # JSON text, as json.dumps cannot print a 5,000-digit int either
+    (["cell", "--matrix", "-"], '{"n": %s, "entries": [["1"]]}' % ("1" * 5000)),
+    (["product", "--scheme", "h1 f1 h2 e1", "--params", "-"],
+     '{"t": [%s]}' % ("-" + "7" * 5000)),
 ], ids=["numeric-entries", "entries-scalar", "numeric-params",
         "params-not-a-list", "fuzz-negative-trials", "size-string",
         "size-bool", "twist-wrong-size", "enumerate-empty-part",
         "enumerate-superscript-digit", "enumerate-size-mismatch",
         "twist-non-numeric-part",
-        "chamberset-empty-part", "exponent-literal"])
+        "chamberset-empty-part", "exponent-literal", "long-entry",
+        "long-param-denominator", "long-json-size", "long-json-param"])
 def test_malformed_input_exits_2(argv, stdin, capsys, monkeypatch):
     import io
-    monkeypatch.setattr("sys.stdin",
-                        io.StringIO("" if stdin is None else json.dumps(stdin)))
+    text = stdin if stdin is None or isinstance(stdin, str) else json.dumps(stdin)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text or ""))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -195,19 +203,18 @@ def test_stdin_matrix(tmp_path, capsys, monkeypatch):
     assert json.loads(out) == {"u": "12", "v": "12"}
 
 
-def test_product_prints_results_of_any_size():
-    # a fresh interpreter, so that the lifted int-to-str limit is the CLI's
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tpfact.__file__)))
+def test_product_prints_results_of_any_size(capsys, monkeypatch):
+    import io
+    limit = sys.get_int_max_str_digits()
     big = "9" * 3000
-    out = subprocess.run(
-        [sys.executable, "-m", "tpfact.cli", "product",
-         "--scheme", "h1 f1 h2 e1", "--params", "-"],
-        input=json.dumps({"t": [big, "1", "1", big]}),
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, check=True)
-    entries = json.loads(out.stdout)["entries"]
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO(json.dumps({"t": [big, "1", "1", big]})))
+    code, out = run(capsys, "product", "--scheme", "h1 f1 h2 e1", "--params", "-")
+    assert code == 0
     # (10^3000 - 1)^2 = 10^6000 - 2 * 10^3000 + 1
-    assert entries[0][1] == "9" * 2999 + "8" + "0" * 2999 + "1"
+    assert json.loads(out)["entries"][0][1] == "9" * 2999 + "8" + "0" * 2999 + "1"
+    # printing lifts no interpreter-wide limit
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

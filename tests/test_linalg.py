@@ -17,6 +17,7 @@ from tpfact.linalg import (
     matrix_from_json_text,
     matrix_to_json,
     minor,
+    parse_json,
     scalar_from_str,
     scalar_to_str,
 )
@@ -201,6 +202,19 @@ def test_scalar_rejects_exponents(text):
     # Fraction would accept these and build 10**exponent before returning
     with pytest.raises(ValidationError, match=f"literal {text!r} has an exp"):
         scalar_from_str(text)
+
+
+def test_literals_are_bounded_and_results_are_not():
+    assert scalar_from_str("9" * 4300) == 10 ** 4300 - 1
+    assert scalar_from_str("-" + "1" * 4000 + "/" + "3" * 4000).denominator > 1
+    for text in ["9" * 4301, "1/" + "3" * 4301, " -1." + "5" * 4300]:
+        with pytest.raises(ValidationError, match="has more than 4300 digits"):
+            scalar_from_str(text)
+    assert parse_json('{"n": -%s}' % ("1" * 4300))["n"] < 0
+    with pytest.raises(ValidationError, match="JSON integer '1111"):
+        parse_json('{"n": %s}' % ("1" * 4301))
+    # a 6,001-digit numerator, printed in full
+    assert scalar_to_str(Fraction(-10 ** 6000 - 1, 3)) == "-1" + "0" * 5999 + "1/3"
 
 
 @pytest.mark.parametrize("i, j", [("a", 1), (1, 1.0), (None, 2)])
