@@ -16,7 +16,10 @@ class Permutation:
     __slots__ = ("oneline",)
 
     def __init__(self, oneline):
-        oneline = tuple(int(a) for a in oneline)
+        oneline = tuple(oneline)
+        for a in oneline:
+            if not isinstance(a, int) or isinstance(a, bool):
+                raise ValidationError(f"permutation entry {a!r} is not an integer")
         if sorted(oneline) != list(range(1, len(oneline) + 1)):
             raise ValidationError(f"{oneline} is not a permutation of 1..{len(oneline)}")
         self.oneline = oneline
@@ -65,13 +68,21 @@ class Permutation:
         return len(self.oneline)
 
     def __call__(self, i):
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRange(f"argument {i} outside [1, {self.n}]")
-        return self.oneline[i - 1]
+        """The image of i.
+
+        One comparison rules out i < 1, which would wrap around; the
+        indexing rejects an i that is too large or not an integer.
+        """
+        try:
+            if i > 0:
+                return self.oneline[i - 1]
+        except (IndexError, TypeError):
+            pass
+        raise IndexOutOfRange(f"argument {i!r} outside [1, {self.n}]")
 
     def apply(self, indices):
         """Image of a set of indices, as a sorted tuple."""
-        return tuple(sorted(self.oneline[i - 1] for i in indices))
+        return tuple(sorted(map(self, indices)))
 
     def __mul__(self, other):
         if not isinstance(other, Permutation):

@@ -1,9 +1,10 @@
 import itertools
+import re
 
 import pytest
 
 from reference import reduced_words, weak_order_leq
-from tpfact.errors import ValidationError
+from tpfact.errors import IndexOutOfRange, ValidationError
 from tpfact.linalg import det
 from tpfact.permutations import (
     Permutation,
@@ -74,6 +75,25 @@ def test_apply_sorts_image():
     w = Permutation.from_string("4312")
     assert w.apply((1, 2)) == (3, 4)
     assert w.apply(()) == ()
+
+
+@pytest.mark.parametrize("oneline", [(2.7, 1.2), (2.0, 1), ("2", "1"),
+                                     (True, 2), (2, None)])
+def test_entries_must_be_integers(oneline):
+    # int() would truncate 2.7 to 2 and accept strings and bools
+    with pytest.raises(ValidationError, match="is not an integer"):
+        Permutation(oneline)
+
+
+@pytest.mark.parametrize("i", [0, -1, 3, 1.0, "1", None])
+def test_indices_outside_one_to_n_raise(i):
+    # index 0 used to wrap to the last entry
+    w = Permutation((2, 1))
+    message = re.escape(f"argument {i!r} outside [1, 2]")
+    with pytest.raises(IndexOutOfRange, match=message):
+        w(i)
+    with pytest.raises(IndexOutOfRange, match=message):
+        w.apply((1, i))
 
 
 def test_reduced_words_against_brute_force():

@@ -34,6 +34,7 @@ from tpfact.schemes import (
     parse_scheme,
     seed_scheme,
     _chamber_sets,
+    _crossing_key,
     _labels,
 )
 
@@ -455,14 +456,34 @@ def test_open_n30_seed_scheme_matches_reference_rules():
     assert _labels.cache_info().maxsize is not None
 
 
-def test_isotopy_key_ignores_bullet_positions(open_gl3_schemes):
-    # the key depends only on the e/f subword: moving every h symbol to the
-    # end of the word leaves it unchanged
-    for s in open_gl3_schemes:
-        crossings = tuple(sym for sym in s.word if sym.kind != H)
-        bullets = tuple(sym for sym in s.word if sym.kind == H)
-        moved = FactorizationScheme.make(s.n, crossings + bullets)
-        assert isotopy_key(moved) == isotopy_key(s)
+def test_isotopy_key_matches_reference_on_every_gl3_word():
+    # on every word of all 36 GL_3 cells the key equals the oracle's, with
+    # the key cache cold and again warm; it depends only on the e/f
+    # subword, so moving every h symbol to the end leaves it unchanged
+    for u in all_permutations(3):
+        for v in all_permutations(3):
+            schemes = all_schemes_of_type(u, v)
+            _crossing_key.cache_clear()
+            keys = [isotopy_key(s) for s in schemes]
+            assert keys == [reference.isotopy_key(s) for s in schemes]
+            assert [isotopy_key(s) for s in schemes] == keys
+            for s, key in zip(schemes, keys):
+                crossings = tuple(sym for sym in s.word if sym.kind != H)
+                bullets = tuple(sym for sym in s.word if sym.kind == H)
+                moved = FactorizationScheme.make(s.n, crossings + bullets)
+                assert isotopy_key(moved) == key
+
+
+def test_isotopy_key_cache_tells_sizes_apart():
+    # one crossing word at two sizes: each size gets its own key
+    _crossing_key.cache_clear()
+    for text in ("e1 h1 h2", "e1 h1 h2 h3", "e1 h1 h2"):
+        scheme = parse_scheme(text)
+        assert isotopy_key(scheme) == reference.isotopy_key(scheme)
+    assert (isotopy_key(parse_scheme("e1 h1 h2"))
+            != isotopy_key(parse_scheme("e1 h1 h2 h3")))
+    # the key cache is bounded
+    assert _crossing_key.cache_info().maxsize is not None
 
 
 def test_mismatched_sizes_raise_size_mismatch():
