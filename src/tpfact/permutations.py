@@ -19,7 +19,8 @@ class Permutation:
         oneline = tuple(oneline)
         for a in oneline:
             if not isinstance(a, int) or isinstance(a, bool):
-                raise ValidationError(f"permutation entry {a!r} is not an integer")
+                raise ValidationError(
+                    f"permutation entry {a!r} is not an integer")
         if sorted(oneline) != list(range(1, len(oneline) + 1)):
             raise ValidationError(f"{oneline} is not a permutation of 1..{len(oneline)}")
         self.oneline = oneline
@@ -68,11 +69,7 @@ class Permutation:
         return len(self.oneline)
 
     def __call__(self, i):
-        """The image of i.
-
-        One comparison rules out i < 1, which would wrap around; the
-        indexing rejects an i that is too large or not an integer.
-        """
+        """The image of i; i < 1 would wrap, indexing rejects the rest."""
         try:
             if i > 0:
                 return self.oneline[i - 1]
