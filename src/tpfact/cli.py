@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 invalid input, 3 arithmetic precondition
 failure (singular matrix, wrong cell, vanishing minor), 4 I/O error.
 A check that runs to completion exits 0 even when the verdict is
 negative; the verdict lives in the JSON report.
+
+Only the modules that argument and JSON handling need load with this
+one; each command imports its own modules when it runs, so a process
+loads nothing that its command does not use.
 """
 
 from __future__ import annotations
@@ -12,24 +16,10 @@ import argparse
 import json
 import sys
 
-from .bruhat import double_cell_of
 from .errors import PreconditionError, ValidationError
-from .identities import fuzz
 from .linalg import (matrix_from_json_text, matrix_to_json, parse_json,
                      scalar_from_str, scalar_to_str)
 from .permutations import Permutation
-from .positivity import (
-    CriterionReport,
-    chamber_criterion,
-    chamber_set_criterion,
-    fekete_criterion,
-    first_negative_minor,
-)
-from .product_map import product
-from .render import isotopy_dot, render_ascii, render_svg
-from .schemes import enumerate_isotopy_types, parse_scheme
-from .solver import solve
-from .twist import twist
 
 
 def _read_text(path):
@@ -73,6 +63,7 @@ def _perm(text):
 def _cell(args, x):
     """The double cell named by --u and --v, else the one x lies in."""
     if args.u is None and args.v is None:
+        from .bruhat import double_cell_of
         return double_cell_of(x)
     if args.u is None or args.v is None:
         raise ValidationError("provide both --u and --v or neither")
@@ -90,6 +81,8 @@ def _sets_json(pair):
 
 
 def _cmd_factor(args):
+    from .schemes import parse_scheme
+    from .solver import solve
     scheme = parse_scheme(args.scheme)
     x = _load_matrix(args.matrix)
     values = solve(scheme, x)
@@ -103,6 +96,8 @@ def _cmd_factor(args):
 
 
 def _cmd_product(args):
+    from .product_map import product
+    from .schemes import parse_scheme
     scheme = parse_scheme(args.scheme)
     values = _load_params(args.params)
     _emit(matrix_to_json(product(scheme, values)))
@@ -110,12 +105,14 @@ def _cmd_product(args):
 
 
 def _cmd_twist(args):
+    from .twist import twist
     x = _load_matrix(args.matrix)
     _emit(matrix_to_json(twist(x, *_cell(args, x))))
     return 0
 
 
 def _cmd_cell(args):
+    from .bruhat import double_cell_of
     x = _load_matrix(args.matrix)
     u, v = double_cell_of(x)
     _emit({"u": str(u), "v": str(v)})
@@ -123,6 +120,9 @@ def _cmd_cell(args):
 
 
 def _cmd_check(args):
+    from .positivity import (CriterionReport, chamber_criterion,
+                             chamber_set_criterion, fekete_criterion,
+                             first_negative_minor)
     x = _load_matrix(args.matrix)
     if args.mode == "all":
         witness = first_negative_minor(x)
@@ -130,6 +130,7 @@ def _cmd_check(args):
     elif args.mode == "chamber":
         if args.scheme is None:
             raise ValidationError("--mode chamber needs --scheme")
+        from .schemes import parse_scheme
         report = chamber_criterion(parse_scheme(args.scheme), x)
     elif args.mode == "chamberset":
         report = chamber_set_criterion(*_cell(args, x), x)
@@ -144,6 +145,8 @@ def _cmd_check(args):
 
 
 def _cmd_enumerate(args):
+    from .render import isotopy_dot
+    from .schemes import enumerate_isotopy_types
     u, v = _perm(args.u), _perm(args.v)
     graph = enumerate_isotopy_types(u, v)
     nodes = []
@@ -166,6 +169,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_render(args):
+    from .render import render_ascii, render_svg
+    from .schemes import parse_scheme
     scheme = parse_scheme(args.scheme)
     if args.format == "ascii":
         _write_text(args.out, render_ascii(scheme))
@@ -175,6 +180,7 @@ def _cmd_render(args):
 
 
 def _cmd_fuzz(args):
+    from .identities import fuzz
     report = fuzz(args.n, args.trials, args.seed)
     _emit(report)
     return 0 if not report["failures"] else 3

@@ -94,3 +94,7 @@ class PreconditionViolated(ValidationError):
 
 class NotAnExchange(ValidationError):
     """The move does not exchange exactly one chamber minor pair."""
+
+
+class TooMuchWork(ValidationError):
+    """The estimated work of a run exceeds its documented bound."""

@@ -47,8 +47,8 @@ class Permutation:
         """Product s_{i1} ... s_{im} of simple transpositions."""
         line = list(range(1, n + 1))
         for i in word:
-            if not 1 <= i <= n - 1:
-                raise IndexOutOfRange(f"letter {i} outside [1, {n - 1}]")
+            if type(i) is not int or not 1 <= i <= n - 1:
+                raise IndexOutOfRange(f"letter {i!r} outside [1, {n - 1}]")
             line[i - 1], line[i] = line[i], line[i - 1]
         return cls(line)
 
@@ -69,11 +69,12 @@ class Permutation:
         return len(self.oneline)
 
     def __call__(self, i):
-        """The image of i; i < 1 would wrap, indexing rejects the rest."""
+        """The image of i; i < 1 would wrap, indexing rejects i > n, and
+        the type test rejects bools, floats and anything else."""
         try:
-            if i > 0:
+            if type(i) is int and i > 0:
                 return self.oneline[i - 1]
-        except (IndexError, TypeError):
+        except IndexError:
             pass
         raise IndexOutOfRange(f"argument {i!r} outside [1, {self.n}]")
 

@@ -217,17 +217,113 @@ def test_product_prints_results_of_any_size(capsys, monkeypatch):
     assert sys.get_int_max_str_digits() == limit
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(tpfact.__file__)))
+
+# every name the package exported before it had `__all__`
+EXPORTS = [
+    "Arrangement", "Chamber", "CriterionReport", "ExchangeCertificate",
+    "FactorizationScheme", "IsotopyGraph", "Matrix", "Move", "Permutation",
+    "PlanarNetwork", "Polynomial", "PreconditionError", "SchemeSymbol",
+    "ValidationError", "apply_move", "available_moves", "bruhat_cell_of",
+    "build_arrangement", "build_network", "chamber_criterion",
+    "chamber_minor_family", "chamber_set_criterion",
+    "chamber_values_from_parameters", "check_dodgson", "check_plucker",
+    "commute_h", "det", "double_cell_of", "elementary",
+    "enumerate_isotopy_types", "evaluate_network", "exchange_certificate",
+    "fekete_criterion", "fekete_families", "fekete_scheme",
+    "first_negative_minor", "fuzz", "gl3_criteria_catalog", "in_G0",
+    "in_bruhat_cell", "inverse", "is_reduced", "is_tnn", "is_tp",
+    "isotopy_dot", "isotopy_key", "ldu_decompose",
+    "leading_principal_minors", "matrix_from_json", "matrix_from_json_text",
+    "matrix_to_json", "minor", "parse_scheme", "product", "render_ascii",
+    "render_svg", "scalar_from_str", "scalar_to_str", "seed_scheme",
+    "signed_representative", "solve", "symbolic_entry", "symbolic_minor",
+    "twist", "twist_roundtrip", "w_chamber_sets",
+]
+
+LIBRARY = {f"tpfact.{name}" for name in (
+    "bruhat", "errors", "identities", "linalg", "networks", "permutations",
+    "positivity", "product_map", "render", "schemes", "solver", "twist")}
+
+
+def fresh_python(*argv, stdin="", timeout=60):
+    """A fresh interpreter, so that modules loaded by pytest do not count."""
+    return subprocess.run([sys.executable, *argv], input=stdin,
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def loaded(statement):
+    probe = f"import sys; {statement}; print(*sorted(sys.modules))"
+    out = fresh_python("-c", probe)
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split())
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter, so that modules loaded by pytest do not count
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tpfact.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-
-    def loaded(statement):
-        probe = f"import sys; {statement}; print(*sorted(sys.modules))"
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             capture_output=True, text=True, check=True)
-        return set(out.stdout.split())
-
     added = loaded("import tpfact.cli") - loaded("pass")
     assert "tpfact.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_package_import_loads_no_submodule():
+    assert {m for m in loaded("import tpfact") if m.startswith("tpfact")} \
+        == {"tpfact"}
+
+
+def test_cell_command_loads_only_its_own_modules():
+    # -X importtime lists every module the process imports on stderr
+    out = fresh_python("-X", "importtime", "-m", "tpfact.cli", "cell",
+                       "--matrix", "-",
+                       stdin='{"entries": [["5", "2"], ["2", "1"]]}')
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"u": "21", "v": "21"}
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in out.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"tpfact.bruhat", "tpfact.linalg"} <= imported
+    assert not imported & {f"tpfact.{name}" for name in (
+        "schemes", "solver", "twist", "positivity", "identities", "networks",
+        "render", "product_map")}
+
+
+@pytest.mark.parametrize("statement", [
+    "tpfact.solve", "tpfact.ValidationError", "tpfact.linalg",
+    "from tpfact import Matrix", "hasattr(tpfact, 'no_such_name')",
+])
+def test_first_package_attribute_loads_every_module(statement):
+    modules = loaded(f"import tpfact; {statement}")
+    assert {m for m in modules if m.startswith("tpfact")} \
+        == LIBRARY | {"tpfact"}
+
+
+def test_package_exports_are_unchanged():
+    assert sorted(tpfact.__all__) == EXPORTS
+    assert set(tpfact._EXPORTS) == {m.split(".")[1] for m in LIBRARY}
+
+
+def test_star_import_and_dir_cover_all():
+    assert set(tpfact.__all__) <= set(dir(tpfact))
+    namespace = {}
+    exec("from tpfact import *", namespace)
+    for name in tpfact.__all__:
+        assert namespace[name] is getattr(tpfact, name)
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        tpfact.no_such_name
+    with pytest.raises(ImportError):
+        exec("from tpfact import no_such_name", {})
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "80"],
+    ["--n", "3", "--trials", "100000000"],
+    ["--n", "1000000000", "--trials", "1"],
+], ids=["n-80", "many-trials", "huge-n"])
+def test_fuzz_refuses_too_much_work_at_once(argv):
+    out = fresh_python("-m", "tpfact.cli", "fuzz", *argv, timeout=1)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: fuzz work estimate trials * n**4 = ")

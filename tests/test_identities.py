@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from reference import reference_exchange_certificate
-from tpfact.errors import NotAnExchange, PreconditionViolated, ValidationError
+from tpfact.errors import (NotAnExchange, PreconditionViolated, TooMuchWork,
+                           ValidationError)
 from tpfact.identities import (
+    MAX_FUZZ_WORK,
     check_dodgson,
     check_plucker,
     dodgson_terms,
@@ -192,3 +194,13 @@ def test_fuzz_deterministic_and_clean():
 def test_fuzz_needs_room_for_three_columns():
     with pytest.raises(PreconditionViolated):
         fuzz(2, 10, 0)
+
+
+def test_fuzz_bounds_its_work_before_the_first_trial():
+    # every fuzz run in the repo stays admitted: --n 4..8 at 1000 trials
+    assert 1000 * 8**4 <= MAX_FUZZ_WORK
+    for n, trials in ((80, 1000), (3, 10**8), (10**9, 1),
+                      (5, MAX_FUZZ_WORK // 5**4 + 1)):
+        with pytest.raises(TooMuchWork, match=f"= {trials * n**4:,} exceeds"):
+            fuzz(n, trials, 0)
+    assert issubclass(TooMuchWork, ValidationError)

@@ -96,6 +96,32 @@ def test_indices_outside_one_to_n_raise(i):
         w.apply((1, i))
 
 
+def test_bool_argument_is_not_an_index():
+    # True == 1 used to map to the first entry
+    with pytest.raises(IndexOutOfRange, match=re.escape("argument True outside [1, 2]")):
+        Permutation((2, 1))(True)
+
+
+def test_apply_rejects_a_bool_index():
+    # apply((True,)) used to return (2,)
+    with pytest.raises(IndexOutOfRange, match=re.escape("argument True outside [1, 2]")):
+        Permutation((2, 1)).apply((True,))
+
+
+def test_from_word_rejects_a_bool_letter():
+    # from_word(3, (True,)) used to return 213
+    with pytest.raises(IndexOutOfRange, match=re.escape("letter True outside [1, 2]")):
+        Permutation.from_word(3, (True,))
+
+
+@pytest.mark.parametrize("letter", [1.0, "1", None])
+def test_from_word_rejects_a_non_integer_letter(letter):
+    # 1.0 used to raise a bare TypeError from list indexing
+    message = re.escape(f"letter {letter!r} outside [1, 2]")
+    with pytest.raises(IndexOutOfRange, match=message):
+        Permutation.from_word(3, (1, letter))
+
+
 def test_reduced_words_against_brute_force():
     for w in all_permutations(3):
         assert sorted(reduced_words(w)) == brute_reduced_words(w)
