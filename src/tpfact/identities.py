@@ -232,7 +232,7 @@ def fuzz(n, trials, seed):
     if work > MAX_FUZZ_WORK:
         raise TooMuchWork(
             f"fuzz work estimate trials * n**4 = {work:,} exceeds "
-            f"{MAX_FUZZ_WORK:,}; lower --n or --trials")
+            f"{MAX_FUZZ_WORK:,}; lower n or trials")
     failures = []
     for idx in range(trials):
         rng = random.Random(seed * 1_000_003 + idx)
