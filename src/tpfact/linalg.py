@@ -67,7 +67,7 @@ def check_index_pair(row_set, col_set, n):
     pair = tuple(tuple(indices) for indices in (row_set, col_set))
     for indices in pair:
         for a in indices:
-            if not isinstance(a, int) or not 1 <= a <= n:
+            if type(a) is not int or not 1 <= a <= n:
                 raise IndexOutOfRange(f"index {a!r} outside [1, {n}]")
         if any(a >= b for a, b in zip(indices, indices[1:])):
             raise IndexOutOfRange(f"index set {indices} is not strictly increasing")
@@ -110,7 +110,7 @@ class Matrix:
 
     def entry(self, i, j):
         """1-based entry access."""
-        if not all(isinstance(a, int) and 1 <= a <= self.n for a in (i, j)):
+        if not all(type(a) is int and 1 <= a <= self.n for a in (i, j)):
             raise IndexOutOfRange(f"entry ({i}, {j}) outside [1, {self.n}]^2")
         return self.rows[i - 1][j - 1]
 

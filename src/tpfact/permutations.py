@@ -32,8 +32,9 @@ class Permutation:
     @classmethod
     def simple(cls, n, i):
         """The simple transposition s_i in S_n."""
-        if not 1 <= i <= n - 1:
-            raise IndexOutOfRange(f"simple reflection index {i} outside [1, {n - 1}]")
+        if type(i) is not int or not 1 <= i <= n - 1:
+            raise IndexOutOfRange(
+                f"simple reflection index {i!r} outside [1, {n - 1}]")
         line = list(range(1, n + 1))
         line[i - 1], line[i] = line[i], line[i - 1]
         return cls(line)

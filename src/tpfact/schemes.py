@@ -19,12 +19,13 @@ the labels of the F-lines, respectively E-lines, that run below it.
 
 from __future__ import annotations
 
+import math
 import re
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import (BadHPart, BadToken, MoveNotApplicable, NotReducedE,
-                     NotReducedF, SizeMismatch)
+                     NotReducedF, SizeMismatch, TooMuchWork)
 from .permutations import Permutation
 
 E, F, H = "E", "F", "H"
@@ -180,20 +181,15 @@ def _line_states(n, word):
     the F-crossings: E-lines start as 1..n at the left border, F-lines
     end as 1..n at the right border.
     """
-    state = list(range(1, n + 1))
-    e_states = [tuple(state)]
-    for kind, i in word:
-        if kind == E:
-            state[i - 1], state[i] = state[i], state[i - 1]
-        e_states.append(tuple(state))
-    state = list(range(1, n + 1))
-    f_states = [tuple(state)]
-    for kind, i in reversed(word):
-        if kind == F:
-            state[i - 1], state[i] = state[i], state[i - 1]
-        f_states.append(tuple(state))
-    f_states.reverse()
-    return e_states, f_states
+    def sweep(family, symbols):
+        state = list(range(1, n + 1))
+        states = [tuple(state)]
+        for kind, i in symbols:
+            if kind == family:
+                state[i - 1], state[i] = state[i], state[i - 1]
+            states.append(tuple(state))
+        return states
+    return sweep(E, word), sweep(F, reversed(word))[::-1]
 
 
 @lru_cache(maxsize=4096)
@@ -309,7 +305,7 @@ def isotopy_key(scheme):
     through a cache bounded at 128 entries; one open-cell entry at n = 8
     is about 11 KB, so the cache holds about 1.4 MB at most.
     """
-    return _crossing_key(scheme.n, tuple(s for s in scheme.word if s.kind != H))
+    return _crossing_key(scheme.n, tuple([s for s in scheme.word if s.kind != H]))
 
 
 @lru_cache(maxsize=128)
@@ -333,36 +329,26 @@ class Move(NamedTuple):
     position: int  # 1-based position of the leftmost symbol involved
 
 
+def _pair_move(a, b):
+    """The one move rule, the kind of move neighbours a b admit: trivial2,
+    but mixed2 for e/f crossings of one level, braid3 for same-family
+    crossings of adjacent levels (i j i -> j i j) and None for a == b."""
+    (ka, ia), (kb, ib) = a, b
+    if ka == H or kb == H:
+        return TRIVIAL2 if a != b else None
+    if ka != kb:
+        return TRIVIAL2 if ia != ib else MIXED2
+    gap = abs(ia - ib)
+    return TRIVIAL2 if gap >= 2 else BRAID3 if gap == 1 else None
+
+
 def _moves(word):
-    """Every (kind, position) that applies to the word.
-
-    Two-symbol moves by position, then braid moves by position.  Two
-    neighbours commute (trivial2) unless they are the same bullet, e/f
-    crossings of one level (mixed2 swaps those) or same-family crossings
-    of adjacent or equal levels.  braid3 turns i j i into j i j within
-    one family when |i - j| = 1.
-    """
-    moves, braids = [], []
-    last = len(word) - 1
-    for p, ((ka, ia), (kb, ib)) in enumerate(zip(word, word[1:]), 1):
-        if ka == H or kb == H:
-            if ka != kb or ia != ib:
-                moves.append((TRIVIAL2, p))
-        elif ka != kb:
-            moves.append((TRIVIAL2 if ia != ib else MIXED2, p))
-        elif abs(ia - ib) >= 2:
-            moves.append((TRIVIAL2, p))
-        elif abs(ia - ib) == 1 and p < last and word[p + 1] == word[p - 1]:
-            braids.append((BRAID3, p))
-    return moves + braids
-
-
-def _moved_word(word, kind, p):
-    """The word after a move that is known to apply to it."""
-    if kind == BRAID3:
-        a, b = word[p - 1], word[p]
-        return word[:p - 1] + (b, a, b) + word[p + 2:]
-    return word[:p - 1] + (word[p], word[p - 1]) + word[p + 1:]
+    """Every applicable (kind, position): two-symbol moves, then braids."""
+    pairs = list(enumerate(zip(word, word[1:]), 1))
+    moves = [(kind, p) for p, (a, b) in pairs
+             if (kind := _pair_move(a, b)) and kind is not BRAID3]
+    return moves + [(BRAID3, p) for (p, (a, b)), c in zip(pairs, word[2:])
+                    if a == c and _pair_move(a, b) is BRAID3]
 
 
 def apply_move(scheme, move):
@@ -377,7 +363,9 @@ def apply_move(scheme, move):
         if kind not in (TRIVIAL2, BRAID3, MIXED2):
             raise MoveNotApplicable(f"unknown move kind {kind!r}")
         raise MoveNotApplicable(f"{kind} at {p} does not apply")
-    return FactorizationScheme(scheme.n, _moved_word(word, kind, p))
+    a, b = word[p - 1:p + 1]
+    moved = (b, a, b) if kind == BRAID3 else (b, a)
+    return scheme._replace(word=word[:p - 1] + moved + word[p - 1 + len(moved):])
 
 
 def available_moves(scheme):
@@ -409,16 +397,12 @@ class IsotopyGraph:
         return set(self._adjacent[k])
 
     def is_connected(self):
-        if not self.nodes:
-            return True
-        seen = {0}
-        frontier = [0]
+        seen, frontier = set(), [0] if self.nodes else []
         while frontier:
             k = frontier.pop()
-            for m in self._adjacent[k]:
-                if m not in seen:
-                    seen.add(m)
-                    frontier.append(m)
+            if k not in seen:
+                seen.add(k)
+                frontier.extend(self._adjacent[k])
         return len(seen) == len(self.nodes)
 
 
@@ -436,6 +420,35 @@ def seed_scheme(u, v):
     return FactorizationScheme.make(n, word)
 
 
+# The walk keys each scheme word of its cell once: 997,920 words, on the
+# cell (2314, 4231), take 12 s and 112 MB of peak RSS on a 2-vCPU host.
+MAX_WALK_WORDS = 10**6
+
+
+def walk_word_count(u, v):
+    """The scheme words of type (u, v), shuffles of a reduced word of u, one
+    of v and an order of h1..hn: R(u) R(v) l! / (l(u)! l(v)!), l = n + l(u)
+    + l(v).  A reduced word of w ends in s_i iff w(i) > w(i+1), so R(w) sums
+    R(w s_i) over those i, R(e) = 1.  Past MAX_WALK_WORDS it may fall short:
+    R stops past the bound, and an n! past it gives the first k! past it."""
+    if past := next((f for f in map(math.factorial, range(max(u.n, v.n) + 1))
+                     if f > MAX_WALK_WORDS), None):
+        return past
+
+    @lru_cache(maxsize=None)
+    def reduced(line):
+        total = 0
+        for i in range(len(line) - 1):
+            if line[i] > line[i + 1] and total <= MAX_WALK_WORDS:
+                total += reduced(line[:i] + (line[i + 1], line[i]) + line[i + 2:])
+        return min(total, MAX_WALK_WORDS + 1) or 1
+
+    lu, lv = u.length(), v.length()
+    return (reduced(u.oneline) * reduced(v.oneline)
+            * math.factorial(u.n + lu + lv)
+            // (math.factorial(lu) * math.factorial(lv)))
+
+
 def enumerate_isotopy_types(u, v):
     """Search of the move graph in stack order, quotiented by isotopy.
 
@@ -445,39 +458,65 @@ def enumerate_isotopy_types(u, v):
     is keyed once, when first reached.  The walk expands the most
     recently reached unexpanded word first (frontier.pop() on a stack),
     and that order picks each class's representative scheme: the first
-    of its words to be reached.
+    of its words to be reached.  It refuses more than MAX_WALK_WORDS words.
     """
+    count = walk_word_count(u, v)
+    if count > MAX_WALK_WORDS:
+        raise TooMuchWork(
+            f"the isotopy walk on ({u}, {v}) would key at least {count:,} "
+            f"scheme words, more than MAX_WALK_WORDS = {MAX_WALK_WORDS:,}")
     start = seed_scheme(u, v)
+    n, l = start.n, start.length
+    # Byte p of a word is the alphabet index of its symbol p (n <= 9 here, so
+    # at most 25 codes).  table[p][a][b] is None or the (kind, delta) of the
+    # move at p when the codes there are a b (a b a for braid3).
+    alphabet = sorted(set(start.word))
+    kinds = [[_pair_move(sa, sb) for sb in alphabet] for sa in alphabet]
+    steps = {TRIVIAL2: -255, MIXED2: -255, BRAID3: 65281}  # ab->ba, aba->bab
+    table = [[[kind and (kind, (b - a) * steps[kind] << 8 * p)
+               for b, kind in enumerate(row)] for a, row in enumerate(kinds)]
+             for p in range(l - 1)]
     word_keys = {}  # word -> its class's key, the object held in key_info
     key_info = {}
     edges = set()
 
-    def key_of(scheme):
+    def key_of(word):
+        scheme = FactorizationScheme(
+            n, tuple(map(alphabet.__getitem__, word.to_bytes(l, "little"))))
         key = isotopy_key(scheme)
         info = key_info.get(key)
         if info is None:
             info = key_info[key] = (
                 key, sorted(chamber_minor_family(scheme)), scheme)
-        word_keys[scheme.word] = info[0]
+        word_keys[word] = info[0]
         return info[0]
 
-    key_of(start)
-    frontier = [start]
+    word = int.from_bytes(bytes(map(alphabet.index, start.word)), "little")
+    key_of(word)
+    frontier = [word]
     while frontier:
-        scheme = frontier.pop()
-        key = word_keys[scheme.word]
-        for kind, p in _moves(scheme.word):
-            word = _moved_word(scheme.word, kind, p)
-            nkey = word_keys.get(word)
+        word = frontier.pop()
+        key = word_keys[word]
+        codes = word.to_bytes(l, "little")
+        moves, braids = [], []
+        for rule, a, b, c in zip(table, codes, codes[1:], codes[2:] + b"\xff"):
+            move = rule[a][b]
+            if move is None:
+                continue
+            if move[0] is not BRAID3:
+                moves.append(move)
+            elif c == a:
+                braids.append(move)
+        for kind, delta in moves + braids:
+            moved = word + delta
+            nkey = word_keys.get(moved)
             if nkey is None:
-                neighbor = FactorizationScheme(u.n, word)
-                nkey = key_of(neighbor)
-                frontier.append(neighbor)
-            if kind != TRIVIAL2 and nkey is not key:
+                nkey = key_of(moved)
+                frontier.append(moved)
+            if kind is not TRIVIAL2 and nkey is not key:
                 edges.add(frozenset((key, nkey)))
     nodes = [IsotopyNode(key, tuple(fam), sch)
              for key, fam, sch in sorted(key_info.values())]
     index = {node.key: k for k, node in enumerate(nodes)}
-    edge_idx = {tuple(sorted((index[a], index[b]))) for a, b in
-                (tuple(e) for e in edges)}
+    edge_idx = {tuple(sorted(map(index.get, e))) for e in edges}
     return IsotopyGraph(nodes, edge_idx)

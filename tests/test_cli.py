@@ -327,3 +327,18 @@ def test_fuzz_refuses_too_much_work_at_once(argv):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.startswith("error: fuzz work estimate trials * n**4 = ")
+
+
+@pytest.mark.parametrize("u, v, count", [
+    ("4321", "4321", "10,332,241,920"),
+    (",".join(map(str, range(300, 0, -1))), ",".join(map(str, range(1, 301))),
+     "3,628,800"),
+], ids=["open-gl4", "n-300"])
+def test_enumerate_refuses_too_many_words_at_once(u, v, count):
+    # the open GL_4 walk used to grow past 460 MB with no output
+    out = fresh_python("-m", "tpfact.cli", "enumerate", "--u", u, "--v", v,
+                       timeout=1)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: the isotopy walk on (")
+    assert f"would key at least {count} scheme words" in out.stderr

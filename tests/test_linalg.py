@@ -217,10 +217,16 @@ def test_literals_are_bounded_and_results_are_not():
     assert scalar_to_str(Fraction(-10 ** 6000 - 1, 3)) == "-1" + "0" * 5999 + "1/3"
 
 
-@pytest.mark.parametrize("i, j", [("a", 1), (1, 1.0), (None, 2)])
+@pytest.mark.parametrize("i, j", [("a", 1), (1, 1.0), (None, 2), (True, 2),
+                                  (1, False)])
 def test_entry_rejects_non_integer_index(i, j):
+    # a bool used to pass as 1 or 0: entry(True, 2) and the minor
+    # ((True,), (2,)) of [[1, 2], [3, 4]] both returned 2
+    x = Matrix([[1, 2], [3, 4]])
     with pytest.raises(IndexOutOfRange, match=r"entry \("):
-        Matrix.identity(2).entry(i, j)
+        x.entry(i, j)
+    with pytest.raises(IndexOutOfRange, match=r"index .* outside \[1, 2\]"):
+        minor(x, (i,), (j,))
 
 
 def test_json_round_trip():

@@ -89,13 +89,18 @@ def test_entries_must_be_integers(oneline):
                                pytest.param(True, id="bool")])
 def test_indices_outside_one_to_n_raise(i):
     # index 0 used to wrap to the last entry, and True to map to the
-    # first one (w(True) == 2, w.apply((True,)) == (2,))
+    # first one (w(True) == 2, w.apply((True,)) == (2,)); the same
+    # indices name no simple reflection of S_3
     w = Permutation((2, 1))
     message = re.escape(f"argument {i!r} outside [1, 2]")
     with pytest.raises(IndexOutOfRange, match=message):
         w(i)
     with pytest.raises(IndexOutOfRange, match=message):
         w.apply((1, i))
+    # Permutation.simple(3, True) used to return s_1 = 213
+    message = re.escape(f"simple reflection index {i!r} outside [1, 2]")
+    with pytest.raises(IndexOutOfRange, match=message):
+        Permutation.simple(3, i)
 
 
 @pytest.mark.parametrize("letter", [True, 1.0, "1", None],

@@ -6,6 +6,7 @@ import pytest
 
 import reference
 from reference import reduced_words
+from tpfact import schemes
 from tpfact.errors import (
     BadHPart,
     BadToken,
@@ -13,6 +14,7 @@ from tpfact.errors import (
     NotReducedE,
     NotReducedF,
     SizeMismatch,
+    TooMuchWork,
 )
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.schemes import (
@@ -20,6 +22,7 @@ from tpfact.schemes import (
     E,
     F,
     H,
+    MAX_WALK_WORDS,
     MIXED2,
     TRIVIAL2,
     FactorizationScheme,
@@ -33,6 +36,7 @@ from tpfact.schemes import (
     isotopy_key,
     parse_scheme,
     seed_scheme,
+    walk_word_count,
     _chamber_sets,
     _crossing_key,
     _labels,
@@ -500,3 +504,68 @@ def test_enumerate_matches_reference_walk_every_gl3_cell():
             nodes = [(node.key, node.family, str(node.scheme))
                      for node in graph.nodes]
             assert (nodes, graph.edges) == reference_enumerate(u, v)
+
+
+def test_enumerate_matches_reference_walk_on_small_gl4_cells():
+    # a seeded sample of GL_4 cells with l(u) + l(v) <= 3: larger
+    # alphabets than GL_3, with repeated letters
+    cells = [(u, v) for u in all_permutations(4) for v in all_permutations(4)
+             if u.length() + v.length() <= 3]
+    for u, v in random.Random(1404).sample(cells, 12):
+        graph = enumerate_isotopy_types(u, v)
+        nodes = [(node.key, node.family, str(node.scheme))
+                 for node in graph.nodes]
+        assert (nodes, graph.edges) == reference_enumerate(u, v)
+
+
+def test_walk_keys_each_counted_word_once_on_every_gl3_cell(monkeypatch):
+    # the walk calls isotopy_key once per scheme word, and walk_word_count
+    # predicts that number from R(u) and R(v) alone
+    calls = []
+
+    def counted(scheme):
+        calls.append(scheme.word)
+        return isotopy_key(scheme)
+
+    monkeypatch.setattr(schemes, "isotopy_key", counted)
+    for u in all_permutations(3):
+        for v in all_permutations(3):
+            calls.clear()
+            enumerate_isotopy_types(u, v)
+            assert len(calls) == len(set(calls))
+            assert len(calls) == walk_word_count(u, v) == scheme_count(u, v)
+
+
+def test_walk_word_count_matches_reduced_word_oracle():
+    for u in all_permutations(4):
+        for v in all_permutations(4):
+            assert walk_word_count(u, v) == scheme_count(u, v)
+    w0 = Permutation.longest_element(4)
+    assert walk_word_count(w0, w0) == 10_332_241_920
+    # R(w0) in S_6 is 292,864, past the bound only with the shuffles
+    w6 = Permutation.longest_element(6)
+    assert walk_word_count(w6, Permutation.identity(6)) == (
+        292_864 * math.factorial(21) // math.factorial(15))
+
+
+def test_walk_word_count_stops_past_the_bound():
+    # R(w0) in S_7 is 1,100,742,656: it stops at MAX_WALK_WORDS + 1
+    w7, e7 = Permutation.longest_element(7), Permutation.identity(7)
+    assert walk_word_count(w7, e7) == (
+        (MAX_WALK_WORDS + 1) * math.factorial(28) // math.factorial(21))
+    # from n = 10 on, 10! alone passes the bound and stands for the count
+    for n in (10, 11, 300):
+        w = Permutation.longest_element(n)
+        assert walk_word_count(w, w) == math.factorial(10)
+
+
+@pytest.mark.parametrize("u, v, count", [
+    ("4321", "4321", "10,332,241,920"),
+    ("2143", "4321", "10,644,480"),
+    ("1234567", "7654321", "5,967,567,567,561,600"),
+    ("10,9,8,7,6,5,4,3,2,1", "1,2,3,4,5,6,7,8,9,10", "3,628,800"),
+], ids=["open-gl4", "gl4", "gl7-r-capped", "gl10-orders"])
+def test_enumerate_refuses_past_the_word_bound(u, v, count):
+    u, v = Permutation.from_string(u), Permutation.from_string(v)
+    with pytest.raises(TooMuchWork, match=f"at least {count} scheme words"):
+        enumerate_isotopy_types(u, v)
