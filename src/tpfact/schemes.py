@@ -460,16 +460,16 @@ def enumerate_isotopy_types(u, v):
     and that order picks each class's representative scheme: the first
     of its words to be reached.  It refuses more than MAX_WALK_WORDS words.
     """
-    count = walk_word_count(u, v)
-    if count > MAX_WALK_WORDS:
+    if u.n == v.n and (count := walk_word_count(u, v)) > MAX_WALK_WORDS:
         raise TooMuchWork(
             f"the isotopy walk on ({u}, {v}) would key at least {count:,} "
             f"scheme words, more than MAX_WALK_WORDS = {MAX_WALK_WORDS:,}")
     start = seed_scheme(u, v)
     n, l = start.n, start.length
-    # Byte p of a word is the alphabet index of its symbol p (n <= 9 here, so
-    # at most 25 codes).  table[p][a][b] is None or the (kind, delta) of the
-    # move at p when the codes there are a b (a b a for braid3).
+    # Byte p of a word is the alphabet index of its symbol p (n <= 9 here:
+    # at most 25 codes, never the pad 0xff).  table[p][a][b] is None or the
+    # (kind, delta) of the move at p when the codes there are a b (a b a for
+    # braid3).
     alphabet = sorted(set(start.word))
     kinds = [[_pair_move(sa, sb) for sb in alphabet] for sa in alphabet]
     steps = {TRIVIAL2: -255, MIXED2: -255, BRAID3: 65281}  # ab->ba, aba->bab

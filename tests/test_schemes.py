@@ -489,8 +489,10 @@ def test_isotopy_key_cache_tells_sizes_apart():
 
 
 def test_mismatched_sizes_raise_size_mismatch():
+    # (54321, 12) would also pass the word bound of the walk
     u3, v2 = Permutation.from_string("321"), Permutation.from_string("12")
-    for u, v in ((u3, v2), (v2, u3)):
+    u5 = Permutation.from_string("54321")
+    for u, v in ((u3, v2), (v2, u3), (u5, v2)):
         with pytest.raises(SizeMismatch):
             seed_scheme(u, v)
         with pytest.raises(SizeMismatch):
