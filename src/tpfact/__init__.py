@@ -14,14 +14,13 @@ code imports.
 from importlib import import_module as _import_module
 
 _EXPORTS = {
-    "bruhat": ("bruhat_cell_of", "double_cell_of", "in_G0", "in_bruhat_cell"),
+    "bruhat": ("bruhat_cell_of", "double_cell_of", "in_bruhat_cell"),
     "errors": ("PreconditionError", "ValidationError"),
     "identities": ("ExchangeCertificate", "check_dodgson", "check_plucker",
                    "exchange_certificate", "fuzz"),
     "linalg": ("Matrix", "det", "inverse", "ldu_decompose",
-               "leading_principal_minors", "matrix_from_json",
-               "matrix_from_json_text", "matrix_to_json", "minor",
-               "scalar_from_str", "scalar_to_str"),
+               "matrix_from_json", "matrix_from_json_text", "matrix_to_json",
+               "minor", "scalar_from_str", "scalar_to_str"),
     "networks": ("PlanarNetwork", "Polynomial", "build_network",
                  "evaluate_network", "symbolic_entry", "symbolic_minor"),
     "permutations": ("Permutation", "is_reduced", "signed_representative"),
@@ -30,15 +29,15 @@ _EXPORTS = {
                    "fekete_families", "fekete_scheme", "first_negative_minor",
                    "gl3_criteria_catalog", "is_tnn", "is_tp",
                    "w_chamber_sets"),
-    "product_map": ("commute_h", "elementary", "product"),
+    "product_map": ("commute_h", "product"),
     "render": ("isotopy_dot", "render_ascii", "render_svg"),
     "schemes": ("Arrangement", "Chamber", "FactorizationScheme",
                 "IsotopyGraph", "Move", "SchemeSymbol", "apply_move",
                 "available_moves", "build_arrangement",
                 "chamber_minor_family", "enumerate_isotopy_types",
                 "isotopy_key", "parse_scheme", "seed_scheme"),
-    "solver": ("chamber_values_from_parameters", "solve"),
-    "twist": ("twist", "twist_roundtrip"),
+    "solver": ("solve",),
+    "twist": ("twist",),
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

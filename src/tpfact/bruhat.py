@@ -15,8 +15,8 @@ so that check costs one elimination per classified matrix.
 from __future__ import annotations
 
 from .errors import Singular
-from .linalg import det, leading_principal_minors, minor
-from .permutations import Permutation, all_permutations
+from .linalg import det, minor
+from .permutations import all_permutations
 
 
 def in_bruhat_cell(x, w):
@@ -53,8 +53,3 @@ def double_cell_of(x):
     u = bruhat_cell_of(x)
     v = bruhat_cell_of(x.transpose()).inverse()
     return (u, v)
-
-
-def in_G0(x):
-    """Is x Gaussian decomposable (all leading principal minors nonzero)?"""
-    return all(m != 0 for m in leading_principal_minors(x))

@@ -186,11 +186,6 @@ def det(x):
     return x._det
 
 
-def leading_principal_minors(x):
-    return [minor(x, tuple(range(1, k + 1)), tuple(range(1, k + 1)))
-            for k in range(1, x.n + 1)]
-
-
 def ldu_decompose(x):
     """Gaussian LDU factors (L unit lower, D diagonal, U unit upper).
 

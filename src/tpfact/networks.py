@@ -14,8 +14,8 @@ the fragments that moves a set of tokens along the wires: a diagonal
 may be taken only when its target wire is free, which is exactly the
 vertex-disjointness constraint, and token order is preserved, so
 every family is counted once with coefficient 1.  The symbolic forms
-sweep with Polynomial weights; evaluate_network, and so product, sweeps
-one token per row with Fraction weights.
+sweep with Polynomial weights; sweep_matrix, behind evaluate_network and
+product, sweeps one token per row with Fraction weights.
 """
 
 from __future__ import annotations
@@ -205,17 +205,29 @@ def symbolic_minor(network, row_set, col_set):
     return ends.get(frozenset(cols), Polynomial(network.nvars))
 
 
+def parameters(values, length):
+    """The parameter vector as Fractions, one per symbol of a
+    length-`length` scheme."""
+    values = [Fraction(v) for v in values]
+    if len(values) != length:
+        raise ArityMismatch(
+            f"{len(values)} parameters for a length-{length} scheme")
+    return values
+
+
 def evaluate_network(network, values):
-    """Numeric product matrix: one sweep per row, with Fraction weights.
+    """Numeric product matrix of the network at the parameter vector."""
+    return sweep_matrix(network.n, network.scheme.word,
+                        parameters(values, network.nvars))
+
+
+def sweep_matrix(n, word, values):
+    """The product matrix of word at checked parameters: one sweep per
+    row, with Fraction weights.
 
     The sweep from source i carries one token, and its final states are
     the singletons {j} weighted by entry (i, j).
     """
-    values = [Fraction(v) for v in values]
-    if len(values) != network.nvars:
-        raise ArityMismatch(
-            f"{len(values)} parameters for a length-{network.nvars} scheme")
-    n, word = network.n, network.scheme.word
     one, zero = Fraction(1), Fraction(0)
 
     def scale(w, k):

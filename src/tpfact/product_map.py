@@ -5,17 +5,13 @@ symbol I + t E_{i+1,i}, and an h<j> symbol the diagonal matrix that
 multiplies the jth coordinate by t (so its parameter must be nonzero).
 The product map sends a parameter vector to the product of these
 factors in word order.  It is computed as path sums in the scheme's
-planar network, which equal the entries of that product; elementary()
-builds the factors themselves.
+planar network, which equal the entries of that product.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import ArityMismatch, BadToken, ZeroDiagonal
-from .linalg import Matrix
-from .networks import build_network, evaluate_network
+from .errors import BadToken, ZeroDiagonal
+from .networks import parameters, sweep_matrix
 from .schemes import E, F, H, FactorizationScheme
 
 
@@ -30,34 +26,16 @@ def _check_symbol(n, symbol, t):
         raise ZeroDiagonal(f"{symbol.token} requires a nonzero parameter")
 
 
-def elementary(n, symbol, t):
-    """The elementary Jacobi matrix of one scheme symbol."""
-    t = Fraction(t)
-    _check_symbol(n, symbol, t)
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    i = symbol.index
-    if symbol.kind == E:
-        rows[i - 1][i] = t
-    elif symbol.kind == F:
-        rows[i][i - 1] = t
-    else:
-        rows[i - 1][i - 1] = t
-    return Matrix(rows)
-
-
 def product(scheme, values):
     """Multiply out the scheme at the given parameter vector.
 
-    Checks each symbol as elementary() does, then reads the product off
-    the scheme's planar network (evaluate_network).
+    Checks each symbol against n and its parameter, then reads the
+    product off the scheme's planar network.
     """
-    values = [Fraction(v) for v in values]
-    if len(values) != scheme.length:
-        raise ArityMismatch(
-            f"{len(values)} parameters for a length-{scheme.length} scheme")
+    values = parameters(values, scheme.length)
     for sym, t in zip(scheme.word, values):
         _check_symbol(scheme.n, sym, t)
-    return evaluate_network(build_network(scheme), values)
+    return sweep_matrix(scheme.n, scheme.word, values)
 
 
 def commute_h(scheme, values, position):
@@ -69,10 +47,7 @@ def commute_h(scheme, values, position):
     [j = i+1], with p negated for an f-crossing and negated again when
     h<j> moves left.  Two bullets just swap.
     """
-    values = [Fraction(v) for v in values]
-    if len(values) != scheme.length:
-        raise ArityMismatch(
-            f"{len(values)} parameters for a length-{scheme.length} scheme")
+    values = parameters(values, scheme.length)
     if not 1 <= position <= scheme.length - 1:
         raise BadToken(f"position {position} has no right neighbor")
     k = position - 1

@@ -7,9 +7,27 @@ E-crossings print as X, F-crossings as x, and bullets as *.
 
 from __future__ import annotations
 
-from .schemes import E, F, H, build_arrangement
+from .schemes import E, F, H
 
 _CELL = 4
+
+
+def _line_states(n, word):
+    """Line labels at heights 1..n at every word position 0..l.
+
+    One forward sweep over the E-crossings and one backward sweep over
+    the F-crossings: E-lines start as 1..n at the left border, F-lines
+    end as 1..n at the right border.
+    """
+    def sweep(family, symbols):
+        state = list(range(1, n + 1))
+        states = [tuple(state)]
+        for kind, i in symbols:
+            if kind == family:
+                state[i - 1], state[i] = state[i], state[i - 1]
+            states.append(tuple(state))
+        return states
+    return sweep(E, word), sweep(F, reversed(word))[::-1]
 
 
 def render_ascii(scheme):
@@ -34,8 +52,8 @@ def render_ascii(scheme):
 
 def render_svg(scheme):
     """SVG picture with both pseudoline families and the bullets."""
-    arr = build_arrangement(scheme)
     n, l = scheme.n, scheme.length
+    e_states, f_states = _line_states(n, scheme.word)
     dx, dy, margin = 36, 32, 40
     width = 2 * margin + l * dx
     height = 2 * margin + (n - 1) * dy
@@ -52,20 +70,17 @@ def render_svg(scheme):
         f'<rect width="{width}" height="{height}" fill="white"/>'
     ]
     for label in range(1, n + 1):
-        for kind, states, style in (
-                (E, arr.e_states, 'stroke="#1a1a1a" stroke-width="2.4"'),
-                (F, arr.f_states, 'stroke="#999999" stroke-width="1.2"')):
-            points = []
-            for p in range(l + 1):
-                h = states[p].index(label) + 1
-                points.append(f"{xpos(p)},{ypos(h)}")
+        for states, style in (
+                (e_states, 'stroke="#1a1a1a" stroke-width="2.4"'),
+                (f_states, 'stroke="#999999" stroke-width="1.2"')):
+            points = [f"{xpos(p)},{ypos(state.index(label) + 1)}"
+                      for p, state in enumerate(states)]
             parts.append(f'<polyline fill="none" {style} '
                          f'points="{" ".join(points)}"/>')
-        eh = arr.e_states[0].index(label) + 1
-        fh = arr.f_states[l].index(label) + 1
-        parts.append(f'<text x="{margin - 18}" y="{ypos(eh) + 4}" '
+        # line `label` is at height `label` on both borders
+        parts.append(f'<text x="{margin - 18}" y="{ypos(label) + 4}" '
                      f'font-size="13">{label}</text>')
-        parts.append(f'<text x="{width - margin + 8}" y="{ypos(fh) + 4}" '
+        parts.append(f'<text x="{width - margin + 8}" y="{ypos(label) + 4}" '
                      f'font-size="13" fill="#777">{label}</text>')
     for p, sym in enumerate(scheme.word, start=1):
         if sym.kind == H:

@@ -30,7 +30,7 @@ from .permutations import Permutation
 
 E, F, H = "E", "F", "H"
 
-_TOKEN_RE = re.compile(r"([efh])(\d+)$")
+_TOKEN_RE = re.compile(r"([efh])([0-9]+)")
 
 
 class SchemeSymbol(NamedTuple):
@@ -39,11 +39,15 @@ class SchemeSymbol(NamedTuple):
 
     @classmethod
     def parse(cls, token):
-        m = _TOKEN_RE.match(token)
+        m = _TOKEN_RE.fullmatch(token)
         if not m:
             raise BadToken(f"bad scheme token {token!r}")
-        kind = {"e": E, "f": F, "h": H}[m.group(1)]
-        return cls(kind, int(m.group(2)))
+        try:
+            index = int(m.group(2))
+        except ValueError:  # more digits than int() converts
+            raise BadToken(f"scheme token {token[:20]!r}... has an index of "
+                           f"{len(m.group(2))} digits") from None
+        return cls({"e": E, "f": F, "h": H}[m.group(1)], index)
 
     @property
     def token(self):
@@ -110,12 +114,6 @@ class FactorizationScheme(NamedTuple):
     def cell_type(self):
         return (self.u, self.v)
 
-    def symbol(self, position):
-        """1-based access into the word."""
-        if not 1 <= position <= self.length:
-            raise BadToken(f"position {position} outside [1, {self.length}]")
-        return self.word[position - 1]
-
     def h_position(self, line):
         """Word position of the bullet on the given horizontal line."""
         for p, sym in enumerate(self.word, start=1):
@@ -174,24 +172,6 @@ class Chamber(NamedTuple):
         return (self.row_set, self.col_set)
 
 
-def _line_states(n, word):
-    """Line labels at heights 1..n at every word position 0..l.
-
-    One forward sweep over the E-crossings and one backward sweep over
-    the F-crossings: E-lines start as 1..n at the left border, F-lines
-    end as 1..n at the right border.
-    """
-    def sweep(family, symbols):
-        state = list(range(1, n + 1))
-        states = [tuple(state)]
-        for kind, i in symbols:
-            if kind == family:
-                state[i - 1], state[i] = state[i], state[i - 1]
-            states.append(tuple(state))
-        return states
-    return sweep(E, word), sweep(F, reversed(word))[::-1]
-
-
 @lru_cache(maxsize=4096)
 def _labels(mask):
     """The sorted labels j whose bits 1 << j are set in mask."""
@@ -247,17 +227,11 @@ def _chamber_sets(n, word):
 
 
 class Arrangement:
-    """The double pseudoline arrangement of a scheme.
-
-    e_states[p] / f_states[p] give, for each word position p in 0..l,
-    the tuple of line labels at heights 1..n after the first p symbols.
-    E-lines start as 1..n on the left; F-lines end as 1..n on the right.
-    """
+    """The double pseudoline arrangement of a scheme: its chambers."""
 
     def __init__(self, scheme):
         self.scheme = scheme
         self.n = scheme.n
-        self.e_states, self.f_states = _line_states(scheme.n, scheme.word)
         self.chambers = self._build_chambers()
         self._by_level = {}
         for c in self.chambers:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ArityMismatch, ZeroMinor, ZeroParameter
+from .errors import ZeroMinor
 from .linalg import minor
 from .schemes import E, F, H, build_arrangement
 from .twist import twist
@@ -98,50 +98,3 @@ def solve(scheme, x):
                  / (end(kind, i, p - 1, upper) * end(kind, i, p + 1, lower)))
         values.append(t)
     return values
-
-
-def _odd_below(state, kind, i, below):
-    """Whether an odd number of the lines at the symbol's heights (i and
-    i+1 for a crossing, i for a bullet) in state lie in below."""
-    if kind == H:
-        return state[i - 1] in below
-    return (state[i - 1] in below) != (state[i] in below)
-
-
-def chamber_values_from_parameters(scheme, values):
-    """Chamber minors of the twist, straight from the parameters.
-
-    Each chamber minor of x' is the inverse of a product of parameters,
-    picked by one parity rule over the line states.  The symbol at word
-    position p touches the lines at its heights just before p: two for
-    a crossing, one for a bullet.  An E-crossing or a bullet at or
-    beyond the chamber's right end counts when exactly one of the
-    E-lines it touches runs below the chamber; an F-crossing or a
-    bullet at or before the left end mirrors that with F-lines; a
-    bullet strictly inside the chamber's span counts when its own line
-    lies below the chamber's level.
-    Returns a dict mapping each chamber to the value.
-    """
-    values = [Fraction(r) for r in values]
-    if len(values) != scheme.length:
-        raise ArityMismatch(
-            f"{len(values)} parameters for a length-{scheme.length} scheme")
-    arrangement = build_arrangement(scheme)
-    e_states, f_states = arrangement.e_states, arrangement.f_states
-    out = {}
-    for chamber in arrangement.chambers:
-        product = Fraction(1)
-        for position, (kind, i) in enumerate(scheme.word, start=1):
-            if kind != F and position >= chamber.end:
-                hit = _odd_below(e_states[position - 1], kind, i, chamber.col_set)
-            elif kind != E and position <= chamber.start:
-                hit = _odd_below(f_states[position - 1], kind, i, chamber.row_set)
-            else:
-                hit = kind == H and i <= chamber.level
-            if hit:
-                if values[position - 1] == 0:
-                    raise ZeroParameter(
-                        f"parameter at position {position} is zero but required")
-                product *= values[position - 1]
-        out[chamber] = 1 / product
-    return out

@@ -43,8 +43,3 @@ def twist(x, u, v):
     middle = ubar.transpose() * inverse(xt) * vibar
     d0 = alternating_diagonal(x.n)  # +-1 on the diagonal: its own inverse
     return d0 * left * middle * right * d0
-
-
-def twist_roundtrip(x, u, v):
-    """Apply the twist and then the twist of the image cell."""
-    return twist(twist(x, u, v), u.inverse(), v.inverse())

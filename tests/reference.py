@@ -8,9 +8,13 @@ faster or leaner routines against them.
   three local-move predicates tested one pair or triple at a time.
 - The big-chamber solver: every crossing parameter read off four big
   chambers, each end monomial evaluated afresh from chamber minors.
+- The paper's explicit formulas: the product map as the ordered product
+  of elementary Jacobi matrices, and each chamber minor of the twist as
+  the inverse of a monomial in the parameters.
 - Total positivity by definition: every minor of every order.
 - Minors by Bareiss's fraction-free elimination, the recurrence the
-  library used before its one Gaussian elimination.
+  library used before its one Gaussian elimination, and Gaussian
+  decomposability read off the leading principal minors.
 - The h-commutation spelled out case by case (h on either side, j = i,
   j = i + 1 or another j), and exchange certificates found by trying the
   Dodgson pattern, then both orientations and both versions of the
@@ -27,7 +31,8 @@ from tpfact.errors import (ArityMismatch, BadToken, NotAnExchange,
                            ZeroDiagonal, ZeroParameter)
 from tpfact.identities import (ExchangeCertificate, dodgson_terms,
                                plucker_terms)
-from tpfact.linalg import minor
+from tpfact.linalg import Matrix, minor
+from tpfact.networks import parameters
 from tpfact.permutations import Permutation
 from tpfact.schemes import (BRAID3, E, F, H, MIXED2, TRIVIAL2,
                             FactorizationScheme, apply_move,
@@ -284,6 +289,63 @@ def reference_solve(scheme, x):
 
 
 # ---------------------------------------------------------------------------
+# the paper's explicit formulas
+
+
+def elementary(n, symbol, t):
+    """The elementary Jacobi matrix of one scheme symbol: I + t E_{i,i+1}
+    for e<i>, I + t E_{i+1,i} for f<i>, and t at (i, i) for h<i>."""
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    i = symbol.index
+    r, c = {E: (i - 1, i), F: (i, i - 1), H: (i - 1, i - 1)}[symbol.kind]
+    rows[r][c] = Fraction(t)
+    return Matrix(rows)
+
+
+def _odd_below(state, kind, i, below):
+    """Whether an odd number of the lines at the symbol's heights (i and
+    i+1 for a crossing, i for a bullet) in state lie in below."""
+    if kind == H:
+        return state[i - 1] in below
+    return (state[i - 1] in below) != (state[i] in below)
+
+
+def chamber_values_from_parameters(scheme, values):
+    """Chamber minors of the twist, straight from the parameters.
+
+    Each chamber minor of x' is the inverse of a product of parameters,
+    picked by one parity rule over the line states.  The symbol at word
+    position p touches the lines at its heights just before p: two for
+    a crossing, one for a bullet.  An E-crossing or a bullet at or
+    beyond the chamber's right end counts when exactly one of the
+    E-lines it touches runs below the chamber; an F-crossing or a
+    bullet at or before the left end mirrors that with F-lines; a
+    bullet strictly inside the chamber's span counts when its own line
+    lies below the chamber's level.
+    Returns a dict mapping each chamber to the value.
+    """
+    values = parameters(values, scheme.length)
+    e_states, f_states = line_states(scheme.n, scheme.word)
+    out = {}
+    for chamber in build_arrangement(scheme).chambers:
+        product = Fraction(1)
+        for position, (kind, i) in enumerate(scheme.word, start=1):
+            if kind != F and position >= chamber.end:
+                hit = _odd_below(e_states[position - 1], kind, i, chamber.col_set)
+            elif kind != E and position <= chamber.start:
+                hit = _odd_below(f_states[position - 1], kind, i, chamber.row_set)
+            else:
+                hit = kind == H and i <= chamber.level
+            if hit:
+                if values[position - 1] == 0:
+                    raise ZeroParameter(
+                        f"parameter at position {position} is zero but required")
+                product *= values[position - 1]
+        out[chamber] = 1 / product
+    return out
+
+
+# ---------------------------------------------------------------------------
 # minors
 
 
@@ -309,6 +371,16 @@ def reference_minor(x, rows, cols):
             m[r][c] = Fraction(0)
         prev = m[c][c]
     return sign * m[k - 1][k - 1]
+
+
+def leading_principal_minors(x):
+    return [minor(x, tuple(range(1, k + 1)), tuple(range(1, k + 1)))
+            for k in range(1, x.n + 1)]
+
+
+def in_G0(x):
+    """Is x Gaussian decomposable (all leading principal minors nonzero)?"""
+    return all(m != 0 for m in leading_principal_minors(x))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ interleaved; with default capture they show up on failure output).
 All arithmetic is exact; every comparison is exact equality.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
-from reference import reduced_words, reference_is_tp
+from reference import (chamber_values_from_parameters, elementary,
+                       reduced_words, reference_is_tp)
 from tpfact.bruhat import bruhat_cell_of, double_cell_of, in_bruhat_cell
 from tpfact.linalg import Matrix, det, minor
 from tpfact.networks import (
@@ -31,7 +31,7 @@ from tpfact.positivity import (
     is_tnn,
     is_tp,
 )
-from tpfact.product_map import elementary, product
+from tpfact.product_map import product
 from tpfact.schemes import (
     SchemeSymbol,
     FactorizationScheme,
@@ -41,8 +41,8 @@ from tpfact.schemes import (
     parse_scheme,
     seed_scheme,
 )
-from tpfact.solver import chamber_values_from_parameters, solve
-from tpfact.twist import twist, twist_roundtrip
+from tpfact.solver import solve
+from tpfact.twist import twist
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
 
@@ -170,7 +170,7 @@ def test_criterion_04_twist_involution_and_positivity():
                 sch = seed_scheme(u, v)
                 vals = positive_vals(sch.length, rng)
                 x = product(sch, vals)
-                assert twist_roundtrip(x, u, v) == x
+                assert twist(twist(x, u, v), u.inverse(), v.inverse()) == x
                 assert is_tnn(x) and is_tnn(twist(x, u, v))
         w0_2 = Permutation.longest_element(2)
         sch2 = parse_scheme("h1 f1 h2 e1")

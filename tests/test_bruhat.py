@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from reference import in_G0
 from tpfact import bruhat, linalg
-from tpfact.bruhat import bruhat_cell_of, double_cell_of, in_G0, in_bruhat_cell
-from tpfact.errors import Singular
-from tpfact.linalg import Matrix, det
+from tpfact.bruhat import bruhat_cell_of, double_cell_of, in_bruhat_cell
+from tpfact.errors import NotInG0, Singular
+from tpfact.linalg import Matrix, det, ldu_decompose
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.product_map import product
 from tpfact.schemes import seed_scheme
@@ -66,6 +67,16 @@ def test_in_G0():
     assert in_G0(mat([[2, 1], [1, 3]]))
     assert not in_G0(mat([[0, 1], [1, 0]]))
     assert not in_G0(mat([[1, 2], [2, 4]]))
+    # ldu_decompose finds its factors exactly on the matrices in G0
+    rng = random.Random(61)
+    for _ in range(200):
+        x = mat([[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)])
+        try:
+            ldu_decompose(x)
+        except NotInG0:
+            assert not in_G0(x)
+        else:
+            assert in_G0(x)
 
 
 def test_singular_matrix_rejected():

@@ -54,6 +54,7 @@ for _mode, _extra in (("all", ()), ("chamber", ("--scheme", OPEN3)),
 CASES.update({
     "render-ascii": (["render", "--scheme", RUNNING, "--format", "ascii"],
                      None),
+    "render-svg": (["render", "--scheme", RUNNING, "--format", "svg"], None),
     "enumerate-gl2": (["enumerate", "--u", "21", "--v", "21"], None),
     "fuzz-n4": (["fuzz", "--n", "4", "--trials", "20"], None),
 })

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import reference_minor
+from reference import leading_principal_minors, reference_minor
 from tpfact.errors import (IndexOutOfRange, NotInG0, SizeMismatch, Singular,
                            ValidationError)
 from tpfact.linalg import (
@@ -12,7 +12,6 @@ from tpfact.linalg import (
     det,
     inverse,
     ldu_decompose,
-    leading_principal_minors,
     matrix_from_json,
     matrix_from_json_text,
     matrix_to_json,

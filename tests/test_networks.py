@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import elementary
 from tpfact.errors import ArityMismatch, IndexOutOfRange
 from tpfact.linalg import Matrix, minor
 from tpfact.networks import (
@@ -14,7 +15,7 @@ from tpfact.networks import (
     symbolic_minor,
 )
 from tpfact.permutations import Permutation
-from tpfact.product_map import elementary, product
+from tpfact.product_map import product
 from tpfact.schemes import parse_scheme, seed_scheme
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"

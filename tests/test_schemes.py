@@ -41,6 +41,7 @@ from tpfact.schemes import (
     _crossing_key,
     _labels,
 )
+from tpfact.render import _line_states
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
 
@@ -131,8 +132,8 @@ def test_parse_and_str_round_trip():
     assert str(sch) == RUNNING
     assert sch.n == 4
     assert sch.length == 13
-    assert sch.symbol(1) == SchemeSymbol(F, 2)
-    assert sch.symbol(13) == SchemeSymbol(F, 1)
+    assert sch.word[0] == SchemeSymbol(F, 2)
+    assert sch.word[12] == SchemeSymbol(F, 1)
 
 
 def test_running_example_type():
@@ -164,6 +165,10 @@ def test_validation_errors():
         parse_scheme("h1 g2")
     with pytest.raises(BadToken):
         parse_scheme("h1 e3")
+    # ASCII digits only, the whole token, and no more digits than int() takes
+    for token in ("h\u0661", "e\uff11", "h1\n", "h" + "1" * 5000):
+        with pytest.raises(BadToken):
+            SchemeSymbol.parse(token)
     with pytest.raises(NotReducedE):
         parse_scheme("h1 h2 e1 e1")
     with pytest.raises(NotReducedF):
@@ -240,13 +245,13 @@ def test_gl2_families_depend_on_crossing_order():
 
 def test_crossing_lines_and_bullets():
     # line states just before a symbol name the lines it touches
-    arr = build_arrangement(parse_scheme(RUNNING))
+    e_states, f_states = _line_states(4, parse_scheme(RUNNING).word)
     # the e1 crossing at position 2 joins E-lines 1 and 2
-    assert arr.e_states[1][0:2] == (1, 2)
-    assert arr.e_states[2][0:2] == (2, 1)
+    assert e_states[1][0:2] == (1, 2)
+    assert e_states[2][0:2] == (2, 1)
     # the h3 bullet at position 3 lies on E-line 3 and F-line 4
-    assert arr.e_states[2][2] == arr.e_states[3][2] == 3
-    assert arr.f_states[2][2] == arr.f_states[3][2] == 4
+    assert e_states[2][2] == e_states[3][2] == 3
+    assert f_states[2][2] == f_states[3][2] == 4
 
 
 def test_trivial2_moves():
@@ -442,8 +447,7 @@ def test_walked_schemes_match_reference_rules(n):
         scheme = seed_scheme(u, v)
         for _ in range(40):
             assert_matches_reference_rules(scheme)
-            arr = build_arrangement(scheme)
-            assert (arr.e_states, arr.f_states) == reference.line_states(
+            assert _line_states(n, scheme.word) == reference.line_states(
                 n, scheme.word)
             scheme = apply_move(scheme, rng.choice(available_moves(scheme)))
         assert scheme.cell_type == (u, v)

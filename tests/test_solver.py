@@ -7,6 +7,7 @@ import tpfact.solver
 from reference import (
     big_chamber_monomial,
     big_chambers,
+    chamber_values_from_parameters,
     pi_monomial,
     reference_solve,
 )
@@ -23,7 +24,7 @@ from tpfact.schemes import (
     parse_scheme,
     seed_scheme,
 )
-from tpfact.solver import chamber_values_from_parameters, solve
+from tpfact.solver import solve
 from tpfact.twist import twist
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
