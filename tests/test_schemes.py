@@ -17,6 +17,7 @@ from tpfact.errors import (
     TooMuchWork,
 )
 from tpfact.permutations import Permutation, all_permutations
+from tpfact.render import _line_states
 from tpfact.schemes import (
     BRAID3,
     E,
@@ -41,7 +42,6 @@ from tpfact.schemes import (
     _crossing_key,
     _labels,
 )
-from tpfact.render import _line_states
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
 
