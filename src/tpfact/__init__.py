@@ -21,8 +21,7 @@ _EXPORTS = {
     "linalg": ("Matrix", "det", "inverse", "ldu_decompose",
                "matrix_from_json", "matrix_from_json_text", "matrix_to_json",
                "minor", "scalar_from_str", "scalar_to_str"),
-    "networks": ("PlanarNetwork", "Polynomial", "build_network",
-                 "evaluate_network", "symbolic_entry", "symbolic_minor"),
+    "networks": ("build_network", "evaluate_network"),
     "permutations": ("Permutation", "is_reduced", "signed_representative"),
     "positivity": ("CriterionReport", "chamber_criterion",
                    "chamber_set_criterion", "fekete_criterion",

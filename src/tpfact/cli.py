@@ -60,6 +60,16 @@ def _perm(text):
     return Permutation.from_string(text)
 
 
+def _int(text):
+    """An integer option: ASCII only, as int() takes any Unicode digit."""
+    try:
+        if text.isascii():
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _cell(args, x):
     """The double cell named by --u and --v, else the one x lies in."""
     if args.u is None and args.v is None:
@@ -237,9 +247,9 @@ def build_parser():
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("fuzz", help="random cross-checks of the minor identities")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--trials", type=_int, default=1000)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=_cmd_fuzz)
 
     return parser

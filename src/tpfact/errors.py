@@ -82,10 +82,6 @@ class ZeroMinor(PreconditionError):
     """A chamber minor in a denominator vanished at this matrix."""
 
 
-class ZeroParameter(PreconditionError):
-    """A recovered factorization parameter is zero."""
-
-
 # identities
 
 class PreconditionViolated(ValidationError):

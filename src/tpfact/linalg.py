@@ -32,6 +32,9 @@ def scalar_from_str(text):
     """Parse "p" or "p/q" into a Fraction."""
     if not isinstance(text, str):
         raise ValidationError(f"rational literal {text!r} is not a string")
+    if not text.isascii():
+        # Fraction takes any Unicode decimal digit
+        raise ValidationError(f"rational literal {text!r} is not ASCII")
     if "e" in text.lower():
         # Fraction would accept it and build 10**exponent, however large
         raise ValidationError(f"rational literal {text!r} has an exponent")

@@ -56,11 +56,14 @@ class Permutation:
     @classmethod
     def from_string(cls, text):
         """Parse "4312" (single digits) or "10,3,1,2,...,4" forms."""
-        text = text.strip()
-        try:
-            oneline = [int(p) for p in (text.split(",") if "," in text else text)]
-        except ValueError:
-            oneline = None
+        oneline = None
+        # ASCII only: int() and strip() take any Unicode digit and space
+        if text.isascii():
+            text = text.strip()
+            try:
+                oneline = [int(p) for p in (text.split(",") if "," in text else text)]
+            except ValueError:
+                pass
         if not oneline:
             raise ValidationError(f"bad permutation literal {text!r}")
         return cls(oneline)

