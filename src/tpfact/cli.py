@@ -61,9 +61,10 @@ def _perm(text):
 
 
 def _int(text):
-    """An integer option: ASCII only, as int() takes any Unicode digit."""
+    """An integer option: ASCII digits without underscores, as int()
+    takes any Unicode digit and reads the digit group "1_0" as 10."""
     try:
-        if text.isascii():
+        if text.isascii() and "_" not in text:
             return int(text)
     except ValueError:
         pass

@@ -35,6 +35,9 @@ def scalar_from_str(text):
     if not text.isascii():
         # Fraction takes any Unicode decimal digit
         raise ValidationError(f"rational literal {text!r} is not ASCII")
+    if "_" in text:
+        # Fraction reads the digit group "1_0" as 10
+        raise ValidationError(f"rational literal {text!r} has an underscore")
     if "e" in text.lower():
         # Fraction would accept it and build 10**exponent, however large
         raise ValidationError(f"rational literal {text!r} has an exponent")

@@ -57,8 +57,9 @@ class Permutation:
     def from_string(cls, text):
         """Parse "4312" (single digits) or "10,3,1,2,...,4" forms."""
         oneline = None
-        # ASCII only: int() and strip() take any Unicode digit and space
-        if text.isascii():
+        # ASCII only: int() and strip() take any Unicode digit and space;
+        # and no underscore, as int() reads the digit group "1_0" as 10
+        if text.isascii() and "_" not in text:
             text = text.strip()
             try:
                 oneline = [int(p) for p in (text.split(",") if "," in text else text)]

@@ -395,7 +395,7 @@ def seed_scheme(u, v):
 
 
 # The walk keys each scheme word of its cell once: 997,920 words, on the
-# cell (2314, 4231), take 12 s and 112 MB of peak RSS on a 2-vCPU host.
+# cell (2314, 4231), take 9 s and 112 MB of peak RSS on a 2-vCPU host.
 MAX_WALK_WORDS = 10**6
 
 
@@ -450,47 +450,65 @@ def enumerate_isotopy_types(u, v):
     table = [[[kind and (kind, (b - a) * steps[kind] << 8 * p)
                for b, kind in enumerate(row)] for a, row in enumerate(kinds)]
              for p in range(l - 1)]
-    word_keys = {}  # word -> its class's key, the object held in key_info
-    key_info = {}
-    edges = set()
+    # A class gets a dense id when its key is first seen, so a move costs
+    # int lookups and an int-pair edge.  A new word often has the crossing
+    # subword, and so the very key object, of the word keyed before it
+    # (isotopy_key caches keys): then its key is not hashed at all.
+    word_ids = {}  # word -> its class's id
+    class_ids = {}  # key -> id
+    classes = []  # id -> (key, family, representative scheme)
+    edges = set()  # (i, j) id pairs, i < j
+    last_key = last_id = None
+    id_if_seen = word_ids.get  # bound once, as every move calls it
 
-    def key_of(word):
+    def id_of(word):
+        nonlocal last_key, last_id
         scheme = FactorizationScheme(
             n, tuple(map(alphabet.__getitem__, word.to_bytes(l, "little"))))
         key = isotopy_key(scheme)
-        info = key_info.get(key)
-        if info is None:
-            info = key_info[key] = (
-                key, sorted(chamber_minor_family(scheme)), scheme)
-        word_keys[word] = info[0]
-        return info[0]
+        if key is not last_key:
+            last_key, last_id = key, class_ids.get(key)
+            if last_id is None:
+                last_id = class_ids[key] = len(classes)
+                family = tuple(sorted(chamber_minor_family(scheme)))
+                classes.append((key, family, scheme))
+        word_ids[word] = last_id
+        return last_id
 
     word = int.from_bytes(bytes(map(alphabet.index, start.word)), "little")
-    key_of(word)
+    id_of(word)
     frontier = [word]
     while frontier:
         word = frontier.pop()
-        key = word_keys[word]
+        k = word_ids[word]
         codes = word.to_bytes(l, "little")
-        moves, braids = [], []
+        braids = []  # taken after every two-symbol move, in position order
         for rule, a, b, c in zip(table, codes, codes[1:], codes[2:] + b"\xff"):
             move = rule[a][b]
             if move is None:
                 continue
-            if move[0] is not BRAID3:
-                moves.append(move)
-            elif c == a:
-                braids.append(move)
-        for kind, delta in moves + braids:
+            kind, delta = move
+            if kind is BRAID3:
+                if c == a:
+                    braids.append(word + delta)
+                continue
             moved = word + delta
-            nkey = word_keys.get(moved)
-            if nkey is None:
-                nkey = key_of(moved)
+            j = id_if_seen(moved)
+            if j is None:
+                j = id_of(moved)
                 frontier.append(moved)
-            if kind is not TRIVIAL2 and nkey is not key:
-                edges.add(frozenset((key, nkey)))
-    nodes = [IsotopyNode(key, tuple(fam), sch)
-             for key, fam, sch in sorted(key_info.values())]
-    index = {node.key: k for k, node in enumerate(nodes)}
-    edge_idx = {tuple(sorted(map(index.get, e))) for e in edges}
-    return IsotopyGraph(nodes, edge_idx)
+            if kind is MIXED2 and j != k:
+                edges.add((k, j) if k < j else (j, k))
+        for moved in braids:
+            j = id_if_seen(moved)
+            if j is None:
+                j = id_of(moved)
+                frontier.append(moved)
+            if j != k:
+                edges.add((k, j) if k < j else (j, k))
+    order = sorted(range(len(classes)), key=lambda k: classes[k][0])
+    rank = [0] * len(order)  # id -> index of its node, sorted by key
+    for r, k in enumerate(order):
+        rank[k] = r
+    return IsotopyGraph([IsotopyNode(*classes[k]) for k in order],
+                        {tuple(sorted((rank[i], rank[j]))) for i, j in edges})

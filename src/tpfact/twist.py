@@ -9,6 +9,9 @@ d0 alternates +1, -1 on the diagonal, and [z]_- , [z]_+ are the unit
 lower and unit upper factors of the Gaussian decomposition of z.  The
 twist lands in the double cell of (u^{-1}, v^{-1}) and is inverted by
 the twist for that cell; it preserves total nonnegativity.
+
+ubar, vibar and d0 act as row or column permutations with signs, in
+O(n^2); only the product of the three middle factors is dense.
 """
 
 from __future__ import annotations
@@ -19,8 +22,11 @@ from .linalg import Matrix, inverse, ldu_decompose
 from .permutations import signed_representative
 
 
-def alternating_diagonal(n):
-    return Matrix.diagonal([(-1) ** i for i in range(n)])
+def _signed_entries(w):
+    """Per column j of the signed representative of w, the row i and the
+    sign s of its one nonzero entry (0-based i)."""
+    return [next((i, s) for i, s in enumerate(col) if s)
+            for col in zip(*signed_representative(w).rows)]
 
 
 def twist(x, u, v):
@@ -32,14 +38,19 @@ def twist(x, u, v):
         raise WrongCell(
             f"matrix lies in the double cell of ({cell[0]}, {cell[1]}), "
             f"not ({u}, {v})")
-    ubar = signed_representative(u)
-    vibar = signed_representative(v.inverse())
+    ubar = _signed_entries(u)
+    vibar = _signed_entries(v.inverse())
     xt = x.transpose()
     try:
-        _, _, left = ldu_decompose(xt * ubar)
-        right, _, _ = ldu_decompose(vibar.transpose() * xt)
+        # column j of z ubar is s z[:, i]; row j of ubar^T z is s z[i, :]
+        _, _, left = ldu_decompose(
+            Matrix([[row[i] * s for i, s in ubar] for row in xt.rows]))
+        right, _, _ = ldu_decompose(
+            Matrix([[s * a for a in xt.rows[i]] for i, s in vibar]))
     except NotInG0 as exc:
         raise DecompositionFailure(f"no Gaussian decomposition: {exc}") from exc
-    middle = ubar.transpose() * inverse(xt) * vibar
-    d0 = alternating_diagonal(x.n)  # +-1 on the diagonal: its own inverse
-    return d0 * left * middle * right * d0
+    inv = inverse(xt).rows
+    middle = Matrix([[s * t * inv[i][k] for k, t in vibar] for i, s in ubar])
+    # d0 z d0, with d0 its own inverse, signs entry (i, j) by (-1)^(i+j)
+    return Matrix([[-a if (i + j) % 2 else a for j, a in enumerate(row)]
+                   for i, row in enumerate((left * middle * right).rows)])

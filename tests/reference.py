@@ -9,8 +9,9 @@ faster or leaner routines against them.
 - The big-chamber solver: every crossing parameter read off four big
   chambers, each end monomial evaluated afresh from chamber minors.
 - The paper's explicit formulas: the product map as the ordered product
-  of elementary Jacobi matrices, and each chamber minor of the twist as
-  the inverse of a monomial in the parameters.
+  of elementary Jacobi matrices, the twist as a product of dense
+  matrices (the signed permutations and d0 included), and each chamber
+  minor of the twist as the inverse of a monomial in the parameters.
 - Path polynomials: each minor of a scheme's product as the polynomial
   of vertex-disjoint path families in its network, read off the
   library's own sweep with Polynomial weights.
@@ -29,15 +30,18 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from tpfact.errors import (ArityMismatch, BadToken, IndexOutOfRange,
-                           NotAnExchange, PreconditionError,
-                           PreconditionViolated, ValidationError,
+from tpfact.bruhat import double_cell_of
+from tpfact.errors import (ArityMismatch, BadToken, DecompositionFailure,
+                           IndexOutOfRange, NotAnExchange, NotInG0,
+                           PreconditionError, PreconditionViolated,
+                           SizeMismatch, ValidationError, WrongCell,
                            ZeroDiagonal)
 from tpfact.identities import (ExchangeCertificate, dodgson_terms,
                                plucker_terms)
-from tpfact.linalg import Matrix, check_index_pair, minor
+from tpfact.linalg import (Matrix, check_index_pair, inverse, ldu_decompose,
+                           minor)
 from tpfact.networks import parameters, sweep
-from tpfact.permutations import Permutation
+from tpfact.permutations import Permutation, signed_representative
 from tpfact.schemes import (BRAID3, E, F, H, MIXED2, TRIVIAL2,
                             FactorizationScheme, apply_move,
                             build_arrangement)
@@ -308,6 +312,33 @@ def elementary(n, symbol, t):
     r, c = {E: (i - 1, i), F: (i, i - 1), H: (i - 1, i - 1)}[symbol.kind]
     rows[r][c] = Fraction(t)
     return Matrix(rows)
+
+
+def alternating_diagonal(n):
+    return Matrix.diagonal([(-1) ** i for i in range(n)])
+
+
+def reference_twist(x, u, v):
+    """The twist formula with ubar, vibar and d0 multiplied in as dense
+    matrices: eight products of size n."""
+    if x.n != u.n or u.n != v.n:
+        raise SizeMismatch("matrix and permutations must share one size")
+    cell = double_cell_of(x)
+    if cell != (u, v):
+        raise WrongCell(
+            f"matrix lies in the double cell of ({cell[0]}, {cell[1]}), "
+            f"not ({u}, {v})")
+    ubar = signed_representative(u)
+    vibar = signed_representative(v.inverse())
+    xt = x.transpose()
+    try:
+        _, _, left = ldu_decompose(xt * ubar)
+        right, _, _ = ldu_decompose(vibar.transpose() * xt)
+    except NotInG0 as exc:
+        raise DecompositionFailure(f"no Gaussian decomposition: {exc}") from exc
+    middle = ubar.transpose() * inverse(xt) * vibar
+    d0 = alternating_diagonal(x.n)  # +-1 on the diagonal: its own inverse
+    return d0 * left * middle * right * d0
 
 
 def _odd_below(state, kind, i, below):

@@ -173,6 +173,10 @@ def test_exit_codes(tmp_path, capsys):
      {"entries": [["\u0661", "0"], ["0", "\uff11"]]}),
     (["product", "--scheme", "h1 f1 h2 e1", "--params", "-"],
      {"t": ["1", "\u0662", "1", "1"]}),
+    (["cell", "--matrix", "-"], {"entries": [["1_0", "0"], ["0", "1"]]}),
+    (["check", "--matrix", "-", "--mode", "chamberset", "--u", "0_2,1",
+      "--v", "2,1"], {"n": 2, "entries": [["5", "2"], ["2", "1"]]}),
+    (["fuzz", "--n", "3", "--trials", "1_0", "--seed", "5"], None),
 ], ids=["numeric-entries", "entries-scalar", "numeric-params",
         "params-not-a-list", "fuzz-negative-trials", "size-string",
         "size-bool", "twist-wrong-size", "enumerate-empty-part",
@@ -183,15 +187,20 @@ def test_exit_codes(tmp_path, capsys):
         "long-scheme-index", "scheme-non-ascii-digit",
         "permutation-arabic-indic-digits", "permutation-fullwidth-digits",
         "permutation-comma-non-ascii-digit", "matrix-non-ascii-digits",
-        "param-non-ascii-digit"])
+        "param-non-ascii-digit", "matrix-digit-group",
+        "permutation-comma-digit-group", "fuzz-digit-group"])
 def test_malformed_input_exits_2(argv, stdin, capsys, monkeypatch):
     import io
     text = stdin if stdin is None or isinstance(stdin, str) else json.dumps(stdin)
     monkeypatch.setattr("sys.stdin", io.StringIO(text or ""))
-    assert main(argv) == 2
+    try:
+        code, prefix = main(argv), "error:"
+    except SystemExit as exc:  # argparse rejected an option
+        code, prefix = exc.code, "usage: tpfact "
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith(prefix)
 
 
 @pytest.mark.parametrize("argv", [

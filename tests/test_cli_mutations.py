@@ -90,6 +90,14 @@ def foreign_digit(rng, text):
     return text[:k] + digit + text[k + 1:]
 
 
+def digit_group(rng, text):
+    """text with one ASCII digit d written as the digit group "0_d", which
+    int() and Fraction() read as d."""
+    spots = [k for k, c in enumerate(text) if c.isascii() and c.isdigit()]
+    k = rng.choice(spots)
+    return text[:k] + "0_" + text[k:]
+
+
 def long_digits(rng):
     return "".join(rng.choice("123456789") for _ in range(rng.randint(4301, 5000)))
 
@@ -119,6 +127,11 @@ def random_entry(rng, doc):
 def mutate_entry_digit(rng, doc):
     row, j = random_entry(rng, doc)
     row[j] = foreign_digit(rng, row[j])
+
+
+def mutate_entry_group(rng, doc):
+    row, j = random_entry(rng, doc)
+    row[j] = digit_group(rng, row[j])
 
 
 def mutate_entry_type(rng, doc):
@@ -163,6 +176,7 @@ def mutate_entries_container(rng, doc):
 
 MATRIX_MUTATIONS = {
     "entry-non-ascii-digit": mutate_entry_digit,
+    "entry-digit-group": mutate_entry_group,
     "entry-wrong-type": mutate_entry_type,
     "entry-bad-literal": mutate_entry_literal,
     "grid-not-square": mutate_grid_shape,
@@ -202,6 +216,11 @@ def mutate_param_digit(rng, t):
     t[k] = foreign_digit(rng, t[k])
 
 
+def mutate_param_group(rng, t):
+    k = rng.randrange(len(t))
+    t[k] = digit_group(rng, t[k])
+
+
 def mutate_param_type(rng, t):
     t[rng.randrange(len(t))] = copy.deepcopy(rng.choice(WRONG_TYPES))
 
@@ -219,6 +238,7 @@ def mutate_param_count(rng, t):
 
 PARAM_MUTATIONS = {
     "param-non-ascii-digit": mutate_param_digit,
+    "param-digit-group": mutate_param_group,
     "param-wrong-type": mutate_param_type,
     "param-bad-literal": mutate_param_literal,
     "param-count": mutate_param_count,
@@ -249,9 +269,11 @@ def test_mutated_parameter_document_exits_2():
 
 def mutate_permutation(rng, text):
     parts = text.split(",") if "," in text else list(text)
-    choice = rng.randrange(5)
+    choice = rng.randrange(6)
     if choice == 0:
         return foreign_digit(rng, text)
+    if choice == 5:
+        return digit_group(rng, ",".join(parts))
     if choice == 1:
         # an empty part
         k = rng.randrange(len(parts) + 1)
@@ -323,5 +345,6 @@ def test_mutated_integer_options_exit_2():
         values = {"--n": "4", "--trials": "5", "--seed": "0"}
         option = rng.choice(sorted(values))
         values[option] = rng.choice([foreign_digit(rng, values[option]),
+                                     digit_group(rng, values[option]),
                                      "", "x", "1.5", "4e1"])
         assert_rejected(["fuzz", *(a for pair in values.items() for a in pair)])

@@ -198,6 +198,10 @@ def test_scalar_strings():
     for text in ("\u0661", "\uff11", "-1/\u0662", "\u00a01"):
         with pytest.raises(ValidationError, match="is not ASCII"):
             scalar_from_str(text)
+    # no digit groups: Fraction alone would read these as 10, 1 and 1/2
+    for text in ("1_0", "0_1", "1/0_2"):
+        with pytest.raises(ValidationError, match="has an underscore"):
+            scalar_from_str(text)
 
 
 @pytest.mark.parametrize("text", ["1e100000000", "2E3", "-1.5e-2", "1/1e9"])

@@ -56,8 +56,10 @@ def test_from_string_and_str():
     assert str(big) == "10,1,2,3,4,5,6,7,8,9"
     with pytest.raises(ValidationError):
         Permutation.from_string("122")
-    # ASCII digits only: int() alone would read each of these as 21 or 12
-    for text in ("\u0662\u0661", "\uff12\uff11", "1,\u0662", "\u00a012"):
+    # ASCII digits only: int() alone would read each of these as 21 or 12;
+    # no digit groups either, as it would read "0_2,1" as 21 too
+    for text in ("\u0662\u0661", "\uff12\uff11", "1,\u0662", "\u00a012",
+                 "0_2,1", "2,1_0"):
         with pytest.raises(ValidationError, match="bad permutation literal"):
             Permutation.from_string(text)
 

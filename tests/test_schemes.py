@@ -503,13 +503,17 @@ def test_mismatched_sizes_raise_size_mismatch():
             enumerate_isotopy_types(u, v)
 
 
+def assert_matches_reference_walk(u, v):
+    # nodes (keys, families, representative schemes) and edges
+    graph = enumerate_isotopy_types(u, v)
+    nodes = [(node.key, node.family, str(node.scheme)) for node in graph.nodes]
+    assert (nodes, graph.edges) == reference_enumerate(u, v)
+
+
 def test_enumerate_matches_reference_walk_every_gl3_cell():
     for u in all_permutations(3):
         for v in all_permutations(3):
-            graph = enumerate_isotopy_types(u, v)
-            nodes = [(node.key, node.family, str(node.scheme))
-                     for node in graph.nodes]
-            assert (nodes, graph.edges) == reference_enumerate(u, v)
+            assert_matches_reference_walk(u, v)
 
 
 def test_enumerate_matches_reference_walk_on_small_gl4_cells():
@@ -518,10 +522,18 @@ def test_enumerate_matches_reference_walk_on_small_gl4_cells():
     cells = [(u, v) for u in all_permutations(4) for v in all_permutations(4)
              if u.length() + v.length() <= 3]
     for u, v in random.Random(1404).sample(cells, 12):
-        graph = enumerate_isotopy_types(u, v)
-        nodes = [(node.key, node.family, str(node.scheme))
-                 for node in graph.nodes]
-        assert (nodes, graph.edges) == reference_enumerate(u, v)
+        assert_matches_reference_walk(u, v)
+
+
+def test_enumerate_matches_reference_walk_on_length4_gl4_cells():
+    # l(u) + l(v) = 4 with two letters of each kind, so every edge comes
+    # from a mixed2 move; cells of at most 10,080 words keep the reference
+    # walk near 2 s.  Seed 1707 draws cells of 4 and 3 classes.
+    cells = [(u, v) for u in all_permutations(4) for v in all_permutations(4)
+             if u.length() == v.length() == 2
+             and walk_word_count(u, v) <= 10080]
+    for u, v in random.Random(1707).sample(cells, 2):
+        assert_matches_reference_walk(u, v)
 
 
 def test_walk_keys_each_counted_word_once_on_every_gl3_cell(monkeypatch):

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from reference import alternating_diagonal, reference_twist
 from tpfact.bruhat import double_cell_of
-from tpfact.errors import SizeMismatch, WrongCell
+from tpfact.errors import PreconditionError, SizeMismatch, WrongCell
 from tpfact.linalg import Matrix, det, minor
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.positivity import is_tnn
 from tpfact.product_map import product
 from tpfact.schemes import parse_scheme, seed_scheme
-from tpfact.twist import alternating_diagonal, twist
+from tpfact.twist import twist
 
 
 def mat(rows):
@@ -136,6 +137,42 @@ def test_twist_preserves_nonnegativity():
             x = product(sch, vals)
             assert is_tnn(x)
             assert is_tnn(twist(x, u, v))
+
+
+def twist_outcome(fn, x, u, v):
+    try:
+        return fn(x, u, v)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+
+
+def assert_twist_matches_reference(u, v, rng, points):
+    # one positive point, then signed ones (which may leave the cell or
+    # lose the Gaussian decomposition: both sides must fail alike)
+    sch = seed_scheme(u, v)
+    twisted = 0
+    for k in range(points):
+        vals = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) if k == 0
+                else rand_nonzero(rng) for _ in range(sch.length)]
+        x = product(sch, vals)
+        got = twist_outcome(twist, x, u, v)
+        assert got == twist_outcome(reference_twist, x, u, v)
+        twisted += isinstance(got, Matrix)
+    assert twisted >= 1
+
+
+def test_twist_matches_dense_reference_every_gl3_cell():
+    rng = random.Random(1701)
+    for u in all_permutations(3):
+        for v in all_permutations(3):
+            assert_twist_matches_reference(u, v, rng, 4)
+
+
+def test_twist_matches_dense_reference_on_gl4_sample():
+    rng = random.Random(1702)
+    cells = [(u, v) for u in all_permutations(4) for v in all_permutations(4)]
+    for u, v in rng.sample(cells, 24):
+        assert_twist_matches_reference(u, v, rng, 3)
 
 
 def test_twist_wrong_cell():
