@@ -34,15 +34,13 @@ def _read_text(path):
 
 
 def _write_text(path, text):
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
 
 
 def _load_matrix(path):
@@ -54,10 +52,6 @@ def _load_params(path):
     if not isinstance(data, dict) or not isinstance(data.get("t"), list):
         raise ValidationError('parameter file must be an object with a "t" list')
     return [scalar_from_str(item) for item in data["t"]]
-
-
-def _perm(text):
-    return Permutation.from_string(text)
 
 
 def _int(text):
@@ -78,7 +72,7 @@ def _cell(args, x):
         return double_cell_of(x)
     if args.u is None or args.v is None:
         raise ValidationError("provide both --u and --v or neither")
-    return _perm(args.u), _perm(args.v)
+    return Permutation.from_string(args.u), Permutation.from_string(args.v)
 
 
 def _emit(payload):
@@ -158,8 +152,10 @@ def _cmd_check(args):
 def _cmd_enumerate(args):
     from .render import isotopy_dot
     from .schemes import enumerate_isotopy_types
-    u, v = _perm(args.u), _perm(args.v)
+    u, v = Permutation.from_string(args.u), Permutation.from_string(args.v)
     graph = enumerate_isotopy_types(u, v)
+    if args.dot is not None:
+        _write_text(args.dot, isotopy_dot(graph))
     nodes = []
     for node in graph.nodes:
         nodes.append({
@@ -174,8 +170,6 @@ def _cmd_enumerate(args):
         "nodes": nodes,
         "edges": [list(edge) for edge in sorted(graph.edges)],
     })
-    if args.dot is not None:
-        _write_text(args.dot, isotopy_dot(graph))
     return 0
 
 

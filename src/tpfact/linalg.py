@@ -253,11 +253,15 @@ def matrix_from_json(data):
 
 def parse_json(text):
     """json.loads, except that an integer literal over MAX_LITERAL_DIGITS
-    digits raises ValidationError before it is converted."""
+    digits, or nesting deeper than the parser's recursion limit, raises
+    ValidationError."""
     def parse_int(literal):
         _check_digits(literal, "JSON integer")
         return int(literal)
-    return json.loads(text, parse_int=parse_int)
+    try:
+        return json.loads(text, parse_int=parse_int)
+    except RecursionError:
+        raise ValidationError("JSON text nests too deeply") from None
 
 
 def matrix_from_json_text(text):

@@ -150,19 +150,21 @@ def is_reduced(word, w):
     return Permutation.from_word(w.n, word) == w and len(word) == w.length()
 
 
-def signed_representative(w):
-    """Signed permutation matrix representing w in the general linear group.
+def signed_columns(w):
+    """(i, s) per column j of the signed representative of w: its one
+    nonzero entry s sits in row i = w(j+1) - 1 (both 0-based), and s = -1
+    when an odd number of nonzero entries lie below and left of it."""
+    line = w.oneline
+    return [(a - 1, -1 if sum(b > a for b in line[:j]) % 2 else 1)
+            for j, a in enumerate(line)]
 
-    Start from the 0/1 matrix with entry 1 at (w(j), j); an entry turns
-    into -1 when the number of nonzero entries strictly below and
-    strictly to its left is odd.
-    """
-    n = w.n
-    rows = [[0] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        i = w(j)
-        below_left = sum(1 for jp in range(1, j) if w(jp) > i)
-        rows[i - 1][j - 1] = -1 if below_left % 2 else 1
+
+def signed_representative(w):
+    """Signed permutation matrix representing w in the general linear
+    group: the entry s at (i, j) for the (i, s) of column j above."""
+    rows = [[0] * w.n for _ in range(w.n)]
+    for j, (i, s) in enumerate(signed_columns(w)):
+        rows[i][j] = s
     return Matrix(rows)
 
 

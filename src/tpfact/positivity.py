@@ -18,7 +18,8 @@ from .errors import SizeMismatch, ValidationError
 from .linalg import minor, scalar_to_str
 from .permutations import Permutation
 from .schemes import (E, F, H, FactorizationScheme, SchemeSymbol,
-                      chamber_minor_family, enumerate_isotopy_types)
+                      chamber_minor_family, enumerate_isotopy_types,
+                      seed_scheme)
 
 
 def _all_index_pairs(n):
@@ -142,22 +143,18 @@ def fekete_scheme(n, variant):
     """Schemes whose chamber families are the two interval criteria.
 
     Both use the lexicographically minimal reduced word for the longest
-    element on each side.  Variant 1 puts every unbarred letter before
-    every barred one; variant 2 follows each unbarred letter
-    immediately by its barred twin.  Bullets go at the end; the
-    chamber family does not depend on where they sit.
+    element on each side.  Variant 1 is the seed scheme of the open cell,
+    every unbarred letter before every barred one; variant 2 follows each
+    unbarred letter immediately by its barred twin.  Bullets go at the
+    end; the chamber family does not depend on where they sit.
     """
-    word = Permutation.longest_element(n).lex_min_reduced_word()
-    symbols = []
+    w0 = Permutation.longest_element(n)
     if variant == 1:
-        symbols += [SchemeSymbol(E, i) for i in word]
-        symbols += [SchemeSymbol(F, i) for i in word]
-    elif variant == 2:
-        for i in word:
-            symbols.append(SchemeSymbol(E, i))
-            symbols.append(SchemeSymbol(F, i))
-    else:
+        return seed_scheme(w0, w0)
+    if variant != 2:
         raise ValidationError(f"variant must be 1 or 2, got {variant!r}")
+    symbols = [SchemeSymbol(kind, i)
+               for i in w0.lex_min_reduced_word() for kind in (E, F)]
     symbols += [SchemeSymbol(H, j) for j in range(1, n + 1)]
     return FactorizationScheme.make(n, symbols)
 

@@ -15,26 +15,18 @@ from .networks import parameters, sweep_matrix
 from .schemes import E, F, H, FactorizationScheme
 
 
-def _check_symbol(n, symbol, t):
-    """Reject a symbol that names no elementary matrix of GL_n at t."""
-    if symbol.kind not in (E, F, H):
-        raise BadToken(f"unknown symbol kind {symbol.kind!r}")
-    top = n if symbol.kind == H else n - 1
-    if not 1 <= symbol.index <= top:
-        raise BadToken(f"{symbol.token} invalid for n={n}")
-    if symbol.kind == H and t == 0:
-        raise ZeroDiagonal(f"{symbol.token} requires a nonzero parameter")
-
-
 def product(scheme, values):
     """Multiply out the scheme at the given parameter vector.
 
-    Checks each symbol against n and its parameter, then reads the
-    product off the scheme's planar network.
+    Checks the parameter count, validates the scheme and rejects a zero
+    bullet parameter, then reads the product off the scheme's planar
+    network.
     """
     values = parameters(values, scheme.length)
+    scheme.validate()
     for sym, t in zip(scheme.word, values):
-        _check_symbol(scheme.n, sym, t)
+        if sym.kind == H and t == 0:
+            raise ZeroDiagonal(f"{sym.token} requires a nonzero parameter")
     return sweep_matrix(scheme.n, scheme.word, values)
 
 

@@ -97,15 +97,12 @@ def _format_sets(pair, n):
     return ",".join(map(str, rows)) + "|" + ",".join(map(str, cols))
 
 
-def isotopy_dot(graph, names=None):
+def isotopy_dot(graph):
     """DOT output of an isotopy graph; node labels list the families."""
     lines = ["graph isotopy {", "  node [shape=box, fontsize=10];"]
     n = graph.nodes[0].scheme.n if graph.nodes else 0
     for k, node in enumerate(graph.nodes):
-        if names:
-            label = names[k]
-        else:
-            label = "\\n".join(_format_sets(pair, n) for pair in node.family)
+        label = "\\n".join(_format_sets(pair, n) for pair in node.family)
         lines.append(f'  n{k} [label="{label}"];')
     for i, j in sorted(graph.edges):
         lines.append(f"  n{i} -- n{j};")

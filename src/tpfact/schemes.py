@@ -71,7 +71,7 @@ class FactorizationScheme(NamedTuple):
         n = self.n
         h_indices = []
         for sym in self.word:
-            if not isinstance(sym.index, int):
+            if type(sym.index) is not int:
                 raise BadToken(f"symbol {sym!r} has a non-integer index")
             if sym.kind == H:
                 if not 1 <= sym.index <= n:
@@ -178,8 +178,13 @@ def _labels(mask):
     return tuple(j for j in range(1, mask.bit_length()) if mask >> j & 1)
 
 
-def _crossing_sets(n, word):
-    """Bitmasks of the lines below the chamber just right of each crossing.
+def _chamber_sets(n, word):
+    """(level, start, I, J) for every chamber, by level, then left to right.
+
+    The bottom (level 0) and top (level n) chambers span the strip.  A
+    level-k chamber with 0 < k < n starts at the left border or just
+    right of a level-k crossing; I and J are the sorted labels of the
+    lowest k F-lines and E-lines there.
 
     below[k] holds bit j for each label j at heights 1..k.  A level-i
     crossing swaps the labels at heights i and i+1, so it changes only
@@ -206,19 +211,7 @@ def _crossing_sets(n, word):
         if kind == F:
             below[i] ^= below[i - 1] ^ below[i + 1]
     f_masks.reverse()
-    return f_masks, e_masks, below
-
-
-def _chamber_sets(n, word):
-    """(level, start, I, J) for every chamber, by level, then left to right.
-
-    The bottom (level 0) and top (level n) chambers span the strip.  A
-    level-k chamber with 0 < k < n starts at the left border or just
-    right of a level-k crossing; I and J are the sorted labels of the
-    lowest k F-lines and E-lines there.
-    """
-    f_masks, e_masks, border = _crossing_sets(n, word)
-    levels = [[(k, 0, _labels(border[k]), tuple(range(1, k + 1)))]
+    levels = [[(k, 0, _labels(below[k]), tuple(range(1, k + 1)))]
               for k in range(n + 1)]
     crossings = ((p, i) for p, (kind, i) in enumerate(word, 1) if kind != H)
     for (p, i), f, e in zip(crossings, f_masks, e_masks):
@@ -233,9 +226,6 @@ class Arrangement:
         self.scheme = scheme
         self.n = scheme.n
         self.chambers = self._build_chambers()
-        self._by_level = {}
-        for c in self.chambers:
-            self._by_level.setdefault(c.level, []).append(c)
 
     def _build_chambers(self):
         """Each chamber ends where the next of its level starts, else at l+1."""
@@ -252,7 +242,7 @@ class Arrangement:
         return chambers
 
     def chambers_at_level(self, level):
-        return list(self._by_level.get(level, []))
+        return [c for c in self.chambers if c.level == level]
 
 
 def build_arrangement(scheme):
@@ -284,12 +274,8 @@ def isotopy_key(scheme):
 
 @lru_cache(maxsize=128)
 def _crossing_key(n, word):
-    f_masks, e_masks, border = _crossing_sets(n, word)
-    pairs = [(_labels(f), _labels(e)) for f, e in zip(f_masks, e_masks)]
-    pairs += [(_labels(border[k]), tuple(range(1, k + 1)))
-              for k in range(n + 1)]
-    pairs.sort()
-    return tuple(pairs)
+    return tuple(sorted((rows, cols) for _, _, rows, cols
+                        in _chamber_sets(n, word)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,7 @@ from __future__ import annotations
 from .bruhat import double_cell_of
 from .errors import DecompositionFailure, NotInG0, SizeMismatch, WrongCell
 from .linalg import Matrix, inverse, ldu_decompose
-from .permutations import signed_representative
-
-
-def _signed_entries(w):
-    """Per column j of the signed representative of w, the row i and the
-    sign s of its one nonzero entry (0-based i)."""
-    return [next((i, s) for i, s in enumerate(col) if s)
-            for col in zip(*signed_representative(w).rows)]
+from .permutations import signed_columns
 
 
 def twist(x, u, v):
@@ -38,8 +31,8 @@ def twist(x, u, v):
         raise WrongCell(
             f"matrix lies in the double cell of ({cell[0]}, {cell[1]}), "
             f"not ({u}, {v})")
-    ubar = _signed_entries(u)
-    vibar = _signed_entries(v.inverse())
+    ubar = signed_columns(u)
+    vibar = signed_columns(v.inverse())
     xt = x.transpose()
     try:
         # column j of z ubar is s z[:, i]; row j of ubar^T z is s z[i, :]

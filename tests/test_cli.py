@@ -105,6 +105,16 @@ def test_enumerate_command(tmp_path, capsys):
     assert dot.read_text().startswith("graph isotopy {")
 
 
+def test_enumerate_unwritable_dot_prints_nothing(tmp_path, capsys):
+    # the DOT file is written before the JSON, so a failed write leaves
+    # stdout empty
+    dot = tmp_path / "missing" / "g.dot"
+    assert main(["enumerate", "--u", "21", "--v", "21", "--dot", str(dot)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_render_command(tmp_path, capsys):
     code, out = run(capsys, "render", "--scheme", "h1 f1 h2 e1",
                     "--format", "ascii")
@@ -177,6 +187,10 @@ def test_exit_codes(tmp_path, capsys):
     (["check", "--matrix", "-", "--mode", "chamberset", "--u", "0_2,1",
       "--v", "2,1"], {"n": 2, "entries": [["5", "2"], ["2", "1"]]}),
     (["fuzz", "--n", "3", "--trials", "1_0", "--seed", "5"], None),
+    # nesting past the JSON parser's recursion limit
+    (["cell", "--matrix", "-"], "[" * 100_000 + "]" * 100_000),
+    (["product", "--scheme", "h1 f1 h2 e1", "--params", "-"],
+     '{"t": %s}' % ("[" * 100_000 + "]" * 100_000)),
 ], ids=["numeric-entries", "entries-scalar", "numeric-params",
         "params-not-a-list", "fuzz-negative-trials", "size-string",
         "size-bool", "twist-wrong-size", "enumerate-empty-part",
@@ -188,7 +202,8 @@ def test_exit_codes(tmp_path, capsys):
         "permutation-arabic-indic-digits", "permutation-fullwidth-digits",
         "permutation-comma-non-ascii-digit", "matrix-non-ascii-digits",
         "param-non-ascii-digit", "matrix-digit-group",
-        "permutation-comma-digit-group", "fuzz-digit-group"])
+        "permutation-comma-digit-group", "fuzz-digit-group",
+        "matrix-deep-nesting", "params-deep-nesting"])
 def test_malformed_input_exits_2(argv, stdin, capsys, monkeypatch):
     import io
     text = stdin if stdin is None or isinstance(stdin, str) else json.dumps(stdin)

@@ -5,7 +5,7 @@ import pytest
 
 from reference import reduced_words, weak_order_leq
 from tpfact.errors import IndexOutOfRange, ValidationError
-from tpfact.linalg import det
+from tpfact.linalg import Matrix, det
 from tpfact.permutations import (
     Permutation,
     all_permutations,
@@ -190,6 +190,18 @@ def test_signed_representative_multiplicative_when_lengths_add():
             if prod.length() == wp.length() + wpp.length():
                 assert (signed_representative(wp) * signed_representative(wpp)
                         == signed_representative(prod))
+
+
+def test_signed_representative_is_the_product_along_a_reduced_word():
+    # the paper's definition: wbar = sbar_{i1} ... sbar_{il} for a reduced
+    # word i1 ... il of w
+    simple = [signed_representative(Permutation.simple(5, i))
+              for i in range(1, 5)]
+    for w in all_permutations(5):
+        expected = Matrix.identity(5)
+        for i in w.lex_min_reduced_word():
+            expected = expected * simple[i - 1]
+        assert signed_representative(w) == expected
 
 
 def test_all_permutations_count():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from reference import elementary, reference_commute_h
-from tpfact.errors import (ArityMismatch, BadToken, PreconditionError,
-                           ValidationError, ZeroDiagonal)
+from tpfact.errors import (ArityMismatch, BadToken, NotReducedE, NotReducedF,
+                           PreconditionError, ValidationError, ZeroDiagonal)
 from tpfact.linalg import Matrix
 from tpfact.permutations import all_permutations
 from tpfact.product_map import commute_h, product
@@ -43,6 +43,14 @@ def test_product_arity():
                                   SchemeSymbol("H", 2)))
     with pytest.raises(BadToken):
         product(raw, [Fraction(1)] * 3)
+    # product validates the whole scheme: reducedness and index types too
+    for text, error in (("e1 e1 h1 h2", NotReducedE), ("f1 f1 h1 h2", NotReducedF)):
+        bad = FactorizationScheme(2, tuple(map(SchemeSymbol.parse, text.split())))
+        with pytest.raises(error):
+            product(bad, [Fraction(1)] * 4)
+    bad = FactorizationScheme(2, (SchemeSymbol("H", True), SchemeSymbol("H", 2)))
+    with pytest.raises(BadToken):
+        product(bad, [Fraction(1)] * 2)
     # the count is checked first, with one message for every caller
     for call in (lambda: product(sch, [0] * 3), lambda: product(raw, [0] * 4),
                  lambda: commute_h(sch, [0] * 5, 1)):

@@ -46,5 +46,3 @@ def test_dot_output():
     assert dot.endswith("}")
     assert dot.count("n0 --") + dot.count("n1 --") == len(graph.edges)
     assert '[label="' in dot
-    named = isotopy_dot(graph, names={0: "first", 1: "second"})
-    assert 'label="first"' in named and 'label="second"' in named

@@ -179,12 +179,19 @@ def test_validation_errors():
 
 
 @pytest.mark.parametrize("symbol", [SchemeSymbol(E, "1"), SchemeSymbol(F, 1.0),
-                                    SchemeSymbol(H, None)])
+                                    SchemeSymbol(H, None), SchemeSymbol(E, True)])
 def test_validation_names_a_non_integer_index(symbol):
     word = [symbol, SchemeSymbol(H, 1), SchemeSymbol(H, 2)]
     with pytest.raises(BadToken, match="non-integer index") as info:
         FactorizationScheme.make(2, word)
     assert repr(symbol) in str(info.value)
+
+
+def test_validation_refuses_a_bool_h_index():
+    # True == 1 would complete the h-part, and print as hTrue, which
+    # parse_scheme refuses
+    with pytest.raises(BadToken, match="non-integer index"):
+        FactorizationScheme.make(2, (SchemeSymbol(H, True), SchemeSymbol(H, 2)))
 
 
 def test_running_example_chambers():
