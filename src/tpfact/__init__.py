@@ -2,16 +2,22 @@
 double Bruhat cells, the twist map, and total-positivity criteria built
 from double pseudoline arrangements.
 
-`import tpfact` loads none of the modules below. The first access to
-any attribute the package does not hold yet (`tpfact.solve`,
-`from tpfact import Matrix`, `tpfact.linalg`) imports every module in
-`_EXPORTS` and binds all of their public names at once, so from then on
-the package holds the same names as an eager import would. A process
-that imports only `tpfact.cli`, or one submodule, loads only what that
-code imports.
+`import tpfact` loads none of the modules below. The first access to a
+public name (`tpfact.solve`, `from tpfact import Matrix`) imports only
+the module in `_EXPORTS` that exports it, and what that module imports
+itself; a module name (`tpfact.linalg`) imports that module. Each such
+load binds the public names of every module loaded so far, so a name a
+side-loaded module exports (`tpfact.twist` after `tpfact.solve`) is
+bound too. An unknown name loads nothing. `from tpfact import *` reads
+every name in `__all__`, so it loads every module.
+
+`tpfact.twist` is the function in any import order: the package never
+lets the import system bind a submodule over an export of its name, so
+the module is only `sys.modules["tpfact.twist"]`.
 """
 
-from importlib import import_module as _import_module
+import sys as _sys
+from types import ModuleType as _ModuleType
 
 _EXPORTS = {
     "bruhat": ("bruhat_cell_of", "double_cell_of", "in_bruhat_cell"),
@@ -39,20 +45,37 @@ _EXPORTS = {
     "twist": ("twist",),
 }
 
-__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
 
 __version__ = "1.0.0"
 
 
+class _Package(_ModuleType):
+    def __setattr__(self, name, value):
+        # the import system binds a newly loaded submodule onto its
+        # package; an export of the same name (`twist`) keeps its place
+        if name in _OWNER and isinstance(value, _ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package
+
+
 def __getattr__(name):
+    if name not in _OWNER and name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, not importlib.import_module, so -X importtime lists it
+    __import__(f"{__name__}.{_OWNER.get(name, name)}")
     namespace = globals()
-    for module, names in _EXPORTS.items():
-        mod = _import_module(f"{__name__}.{module}")
-        for export in names:
-            namespace[export] = getattr(mod, export)
-    if name in namespace:
-        return namespace[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for loaded, names in _EXPORTS.items():
+        mod = _sys.modules.get(f"{__name__}.{loaded}")
+        if mod is not None:
+            for export in names:
+                namespace[export] = getattr(mod, export)
+    return namespace[name]
 
 
 def __dir__():

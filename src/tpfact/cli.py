@@ -110,9 +110,11 @@ def _cmd_product(args):
 
 
 def _cmd_twist(args):
-    from .twist import twist
+    from .twist import _twist_in_cell, twist
     x = _load_matrix(args.matrix)
-    _emit(matrix_to_json(twist(x, *_cell(args, x))))
+    # a cell read off x needs no second classification to check it
+    apply = _twist_in_cell if args.u is None and args.v is None else twist
+    _emit(matrix_to_json(apply(x, *_cell(args, x))))
     return 0
 
 

@@ -87,16 +87,14 @@ def w_chamber_sets(w):
     """Subsets closed under: j in S forces every i < j with w(i) < w(j).
 
     Listed by size, then lexicographically; the empty set is skipped.
+    They are the order ideals of i < j, w(i) < w(j), grown one element
+    at a time: j joins each ideal that holds all of its predecessors.
     """
-    n = w.n
-    out = []
-    for k in range(1, n + 1):
-        for subset in combinations(range(1, n + 1), k):
-            chosen = set(subset)
-            if all(i in chosen
-                   for j in subset for i in range(1, j) if w(i) < w(j)):
-                out.append(subset)
-    return out
+    ideals = [()]
+    for j in range(1, w.n + 1):
+        below = {i for i in range(1, j) if w(i) < w(j)}
+        ideals += [s + (j,) for s in ideals if below.issubset(s)]
+    return sorted(ideals[1:], key=lambda s: (len(s), s))
 
 
 def chamber_set_criterion(u, v, x):

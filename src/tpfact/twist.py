@@ -31,6 +31,11 @@ def twist(x, u, v):
         raise WrongCell(
             f"matrix lies in the double cell of ({cell[0]}, {cell[1]}), "
             f"not ({u}, {v})")
+    return _twist_in_cell(x, u, v)
+
+
+def _twist_in_cell(x, u, v):
+    """The twist formula, for x already known to lie in the cell (u, v)."""
     ubar = signed_columns(u)
     vibar = signed_columns(v.inverse())
     xt = x.transpose()

@@ -15,7 +15,8 @@ faster or leaner routines against them.
 - Path polynomials: each minor of a scheme's product as the polynomial
   of vertex-disjoint path families in its network, read off the
   library's own sweep with Polynomial weights.
-- Total positivity by definition: every minor of every order.
+- Total positivity by definition: every minor of every order, and the
+  w-chamber sets by filtering every subset.
 - Minors by Bareiss's fraction-free elimination, the recurrence the
   library used before its one Gaussian elimination, and Gaussian
   decomposability read off the leading principal minors.
@@ -574,6 +575,19 @@ def reference_is_tp(x):
     return all(minor(x, rows, cols) > 0
                for rows in index_sets for cols in index_sets
                if len(rows) == len(cols))
+
+
+def reference_w_chamber_sets(w):
+    """The w-chamber sets by filtering all 2^n subsets of [1, n]."""
+    n = w.n
+    out = []
+    for k in range(1, n + 1):
+        for subset in combinations(range(1, n + 1), k):
+            chosen = set(subset)
+            if all(i in chosen
+                   for j in subset for i in range(1, j) if w(i) < w(j)):
+                out.append(subset)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
 import tpfact
+from tpfact import bruhat
 from tpfact.cli import main
 from tpfact.linalg import Matrix
 from tpfact.positivity import first_negative_minor
@@ -59,6 +61,26 @@ def test_twist_command(tmp_path, capsys):
         "n": 2, "entries": [["1/4", "1/2"], ["1/6", "5/3"]]}
     code, out = run(capsys, "twist", "--matrix", mpath, "--u", "21", "--v", "21")
     assert code == 0
+
+
+def test_twist_command_classifies_the_matrix_once(tmp_path, capsys,
+                                                  monkeypatch):
+    calls = []
+    classify = bruhat.bruhat_cell_of
+    monkeypatch.setattr(bruhat, "bruhat_cell_of",
+                        lambda x: calls.append(x) or classify(x))
+    # the Pascal matrix is totally positive, so it lies in the open cell
+    pascal = [[str(comb(i + j, i)) for j in range(4)] for i in range(4)]
+    mpath = write_matrix(tmp_path, "m.json", 4, pascal)
+    code, out = run(capsys, "twist", "--matrix", mpath)
+    assert code == 0
+    assert len(calls) == 2
+    calls.clear()
+    code, given = run(capsys, "twist", "--matrix", mpath,
+                      "--u", "4321", "--v", "4321")
+    assert code == 0
+    assert len(calls) == 2
+    assert given == out
 
 
 def test_check_modes(tmp_path, capsys):
@@ -321,14 +343,47 @@ def test_cell_command_loads_only_its_own_modules():
         "render", "product_map")}
 
 
+# the tpfact modules each first access loads, itself and by its imports
+FIRST_ACCESS_LOADS = {
+    "tpfact.ValidationError": "errors",
+    "tpfact.Matrix": "errors linalg",
+    "from tpfact import Matrix": "errors linalg",
+    "tpfact.linalg": "errors linalg",
+    "tpfact.solve": "bruhat errors linalg permutations schemes solver twist",
+    "tpfact.is_tnn": "errors linalg permutations positivity schemes",
+    "hasattr(tpfact, 'no_such_name')": "",
+    "from tpfact import *": " ".join(sorted(tpfact._EXPORTS)),
+}
+
+
+@pytest.mark.parametrize("statement", list(FIRST_ACCESS_LOADS))
+def test_first_package_attribute_loads_only_its_module(statement):
+    probe = (f"import sys, tpfact; {statement}; "
+             "print(*sorted(m for m in sys.modules if m.startswith('tpfact.')));"
+             "print(*sorted(set(vars(tpfact)) & set(tpfact.__all__)))")
+    out = fresh_python("-c", probe)
+    assert out.returncode == 0, out.stderr
+    modules, names = out.stdout.split("\n")[:2]
+    expected = FIRST_ACCESS_LOADS[statement].split()
+    assert modules.split() == [f"tpfact.{m}" for m in expected]
+    # every public name of every module loaded so far is bound
+    assert names.split() == sorted(name for m in expected
+                                   for name in tpfact._EXPORTS[m])
+
+
 @pytest.mark.parametrize("statement", [
-    "tpfact.solve", "tpfact.ValidationError", "tpfact.linalg",
-    "from tpfact import Matrix", "hasattr(tpfact, 'no_such_name')",
+    "import tpfact.solver, tpfact",
+    "import tpfact.twist, tpfact",
+    "import tpfact; tpfact.Matrix; from tpfact.solver import solve",
+    "import tpfact; tpfact.solve",
+    "from tpfact import *; import tpfact",
 ])
-def test_first_package_attribute_loads_every_module(statement):
-    modules = loaded(f"import tpfact; {statement}")
-    assert {m for m in modules if m.startswith("tpfact")} \
-        == LIBRARY | {"tpfact"}
+def test_package_twist_is_the_function_in_every_import_order(statement):
+    probe = (f"{statement}; from tpfact.twist import twist; "
+             "print(tpfact.twist is twist, callable(twist))")
+    out = fresh_python("-c", probe)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "True"]
 
 
 def test_package_exports_are_unchanged():

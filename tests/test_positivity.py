@@ -1,10 +1,11 @@
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
-from reference import reference_is_tp
+from reference import reference_is_tp, reference_w_chamber_sets
 from tpfact.errors import ValidationError
 from tpfact.linalg import Matrix, minor
 from tpfact.permutations import Permutation, all_permutations
@@ -104,6 +105,20 @@ def test_w_chamber_sets_mixed():
     w = Permutation.from_string("231")
     assert w_chamber_sets(w) == [
         (1,), (3,), (1, 2), (1, 3), (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_w_chamber_sets_match_filtering_every_subset(n):
+    for w in all_permutations(n):
+        assert w_chamber_sets(w) == reference_w_chamber_sets(w)
+
+
+def test_w_chamber_sets_of_a_chain_cost_no_subset_scan():
+    e20 = Permutation.identity(20)
+    t0 = time.perf_counter()
+    sets = w_chamber_sets(e20)
+    assert time.perf_counter() - t0 < 0.05
+    assert sets == [tuple(range(1, k + 1)) for k in range(1, 21)]
 
 
 def test_chamber_set_criterion_identity_cell():
