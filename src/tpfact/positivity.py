@@ -1,12 +1,19 @@
 """Total positivity tests and criteria generated from schemes.
 
-Three graded tests: the definitions (is_tnn scans every minor; is_tp
-reads the n^2 initial minors, which decide total positivity), the
-chamber criterion attached to one scheme (positivity of the l modified
-chamber minors), and the chamber-set criterion attached to a double
-cell (positivity of the minors whose row set is a u^{-1}-chamber set
-and whose column set is a v-chamber set).  On matrices of the cell all
-three agree with total nonnegativity.
+Three graded tests: total nonnegativity and positivity themselves
+(is_tnn, is_tp), the chamber criterion attached to one scheme
+(positivity of the l modified chamber minors), and the chamber-set
+criterion attached to a double cell (positivity of the minors whose row
+set is a u^{-1}-chamber set and whose column set is a v-chamber set).
+On matrices of the cell all three agree.
+
+is_tnn and is_tp read the Cauchon matrix of x, the result of the
+deleting-derivations algorithm, in O(n^4) exact operations: x is TNN
+iff that matrix is nonnegative and its zeros form a Cauchon diagram,
+and TP iff it is positive (Goodearl-Launois-Lenagan, Adv. Math. 226,
+2011; Launois-Lenagan, Found. Comput. Math. 14, 2014).  This holds for
+singular x too.  first_negative_minor is the witness search: it scans
+the C(2n, n) - 1 minors by order, in time exponential in n.
 """
 
 from __future__ import annotations
@@ -29,19 +36,50 @@ def _all_index_pairs(n):
                 yield rows, cols
 
 
+def _cauchon_matrix(x):
+    """The deleting-derivations pass over x, as a list of rows.
+
+    For (s, t) from (n, n) down in reverse lexicographic order, when the
+    current entry a_st is nonzero, subtract a_it a_sj / a_st from every
+    a_ij with i < s and j < t.  A pivot in the first row or the first
+    column has nothing above or left of it, so those are skipped.
+    """
+    a = [list(row) for row in x.rows]
+    for s in range(x.n - 1, 0, -1):
+        pivot_row = a[s]
+        for t in range(x.n - 1, 0, -1):
+            pivot = pivot_row[t]
+            if not pivot:
+                continue
+            for row in a[:s]:
+                f = row[t] / pivot
+                if f:
+                    row[:t] = [b - f * c for b, c in zip(row[:t], pivot_row)]
+    return a
+
+
 def is_tnn(x):
-    """Totally nonnegative: every minor of every order is >= 0."""
-    return first_negative_minor(x) is None
+    """Totally nonnegative: every minor of every order is >= 0.
+
+    Decided from the Cauchon matrix: all of its entries are >= 0, and
+    each zero has only zeros to its left or only zeros above it.
+    """
+    a = _cauchon_matrix(x)
+    for i, row in enumerate(a):
+        for j, value in enumerate(row):
+            if value < 0:
+                return False
+            if not value and any(row[:j]) and any(r[j] for r in a[:i]):
+                return False
+    return True
 
 
 def is_tp(x):
     """Totally positive: every minor of every order is > 0.
 
-    Decided from the n^2 initial minors (the solid minors whose row or
-    column interval contains 1), which are all positive exactly when x
-    is totally positive (Gasca-Pena, after Fekete).
+    Decided from the Cauchon matrix: all of its entries are > 0.
     """
-    return _family_report(x, fekete_families(x.n)[0]).verdict
+    return all(value > 0 for row in _cauchon_matrix(x) for value in row)
 
 
 def first_negative_minor(x):

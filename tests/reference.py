@@ -15,8 +15,8 @@ faster or leaner routines against them.
 - Path polynomials: each minor of a scheme's product as the polynomial
   of vertex-disjoint path families in its network, read off the
   library's own sweep with Polynomial weights.
-- Total positivity by definition: every minor of every order, and the
-  w-chamber sets by filtering every subset.
+- Total nonnegativity and total positivity by definition, every minor
+  of every order, and the w-chamber sets by filtering every subset.
 - Minors by Bareiss's fraction-free elimination, the recurrence the
   library used before its one Gaussian elimination, and Gaussian
   decomposability read off the leading principal minors.
@@ -315,6 +315,14 @@ def elementary(n, symbol, t):
     return Matrix(rows)
 
 
+def elementary_product(scheme, values):
+    """The product map: the ordered product of the elementary matrices."""
+    x = Matrix.identity(scheme.n)
+    for symbol, t in zip(scheme.word, values):
+        x = x * elementary(scheme.n, symbol, t)
+    return x
+
+
 def alternating_diagonal(n):
     return Matrix.diagonal([(-1) ** i for i in range(n)])
 
@@ -568,13 +576,22 @@ def in_G0(x):
 # total positivity
 
 
-def reference_is_tp(x):
-    """Totally positive by definition: all C(2n, n) - 1 minors are > 0."""
+def _all_minors(x):
     index_sets = [c for k in range(1, x.n + 1)
                   for c in combinations(range(1, x.n + 1), k)]
-    return all(minor(x, rows, cols) > 0
-               for rows in index_sets for cols in index_sets
-               if len(rows) == len(cols))
+    return (minor(x, rows, cols)
+            for rows in index_sets for cols in index_sets
+            if len(rows) == len(cols))
+
+
+def reference_is_tnn(x):
+    """Totally nonnegative by definition: all C(2n, n) - 1 minors are >= 0."""
+    return all(value >= 0 for value in _all_minors(x))
+
+
+def reference_is_tp(x):
+    """Totally positive by definition: all C(2n, n) - 1 minors are > 0."""
+    return all(value > 0 for value in _all_minors(x))
 
 
 def reference_w_chamber_sets(w):

@@ -431,3 +431,14 @@ def test_enumerate_refuses_too_many_words_at_once(u, v, count):
     assert out.stdout == ""
     assert out.stderr.startswith("error: the isotopy walk on (")
     assert f"would key at least {count} scheme words" in out.stderr
+
+
+def test_check_all_on_a_tnn_16x16_matrix_finishes_in_seconds(tmp_path):
+    # the all-minors scan would evaluate C(32, 16) - 1 = 601,080,389 minors
+    pascal = [[str(comb(i + j, i)) for j in range(16)] for i in range(16)]
+    path = write_matrix(tmp_path, "pascal16.json", 16, pascal)
+    out = fresh_python("-m", "tpfact.cli", "check", "--matrix", path,
+                       "--mode", "all", timeout=5)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"mode": "all", "verdict": True,
+                                      "witness": None}

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from reference import Polynomial, elementary, symbolic_entry, symbolic_minor
+from reference import (Polynomial, elementary_product, symbolic_entry,
+                       symbolic_minor)
 from tpfact.errors import ArityMismatch, IndexOutOfRange
-from tpfact.linalg import Matrix, minor
+from tpfact.linalg import minor
 from tpfact.networks import build_network, evaluate_network
 from tpfact.permutations import Permutation
 from tpfact.product_map import product
@@ -68,14 +69,6 @@ def minor_by_path_families(scheme, rows, cols, values):
                     term *= values[k] ** e
             total += term
     return total
-
-
-def elementary_product(scheme, values):
-    # reference: the ordered product of the elementary matrices
-    x = Matrix.identity(scheme.n)
-    for sym, t in zip(scheme.word, values):
-        x = x * elementary(scheme.n, sym, t)
-    return x
 
 
 def rand_vals(length, rng):

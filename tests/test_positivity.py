@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -5,12 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from reference import reference_is_tp, reference_w_chamber_sets
+from reference import (elementary_product, reference_is_tnn,
+                       reference_is_tp, reference_w_chamber_sets)
+from tpfact.bruhat import double_cell_of
 from tpfact.errors import ValidationError
-from tpfact.linalg import Matrix, minor
+from tpfact.linalg import Matrix, det, minor
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.positivity import (
     GL3_COMMON_MINORS,
+    _cauchon_matrix,
     chamber_criterion,
     chamber_set_criterion,
     fekete_criterion,
@@ -84,6 +88,75 @@ def test_first_negative_minor_witness():
     assert first_negative_minor(Matrix.identity(2)) is None
 
 
+def all_small_matrices(n, values):
+    for entries in itertools.product(values, repeat=n * n):
+        yield Matrix([entries[i * n:(i + 1) * n] for i in range(n)])
+
+
+def tnn_products(n, count, rng):
+    """Products of elementary matrices at nonnegative parameters; about a
+    third of them, column scalings h included, are 0, so most products
+    are singular."""
+    perms = all_permutations(n)
+    for _ in range(count):
+        scheme = seed_scheme(rng.choice(perms), rng.choice(perms))
+        yield elementary_product(scheme, [
+            0 if rng.random() < 0.3 else Fraction(rng.randint(1, 9),
+                                                  rng.randint(1, 5))
+            for _ in scheme.word])
+
+
+def perturbed(x, rng):
+    """x with one entry moved by a signed step."""
+    rows = [list(row) for row in x.rows]
+    i, j = rng.randrange(x.n), rng.randrange(x.n)
+    rows[i][j] += rng.choice([-1, 1]) * rng.choice(
+        [Fraction(1, 100), Fraction(1, 4), Fraction(1), Fraction(3)])
+    return Matrix(rows)
+
+
+def test_is_tnn_and_is_tp_match_the_definitions():
+    rng = random.Random(44)
+    samples = list(all_small_matrices(2, (0, 1, 2)))
+    samples += all_small_matrices(3, (0, 1))
+    for n in (3, 4, 5):
+        for x in tnn_products(n, 100, rng):
+            samples += [x, perturbed(x, rng)]
+    singular_tnn = 0
+    for x in samples:
+        truth = reference_is_tnn(x)
+        assert is_tnn(x) == truth, x
+        assert is_tp(x) == reference_is_tp(x), x
+        singular_tnn += truth and det(x) == 0
+    assert singular_tnn >= 450
+    assert {is_tp(x) for x in samples} == {is_tnn(x) for x in samples} == {
+        True, False}
+
+
+def cauchon_zeros(x):
+    return frozenset((i, j) for i, row in enumerate(_cauchon_matrix(x))
+                     for j, value in enumerate(row) if not value)
+
+
+@pytest.mark.parametrize("n, points", [(3, 2), (4, 1)])
+def test_cauchon_zeros_name_the_double_cell(n, points):
+    """Positive points of the seed scheme of each cell: one zero pattern
+    per cell, distinct cells giving distinct patterns."""
+    rng = random.Random(45)
+    perms = all_permutations(n)
+    cells = {}
+    for u in perms:
+        for v in perms:
+            sch = seed_scheme(u, v)
+            for _ in range(points):
+                x = product(sch, [Fraction(rng.randint(1, 9),
+                                           rng.randint(1, 5))
+                                  for _ in range(sch.length)])
+                assert double_cell_of(x) == (u, v)
+                assert cells.setdefault(cauchon_zeros(x), (u, v)) == (u, v)
+    assert len(cells) == len(perms) ** 2
+
+
 def test_tp_samples_are_tp():
     rng = random.Random(40)
     for n in (2, 3, 4):
@@ -155,11 +228,11 @@ def test_criteria_agree_with_is_tnn_in_cell():
                     if not positive:
                         vals[rng.randrange(len(vals))] *= -1
                     x = product(sch, vals)
-                    from tpfact.bruhat import double_cell_of
                     if double_cell_of(x) != (u, v):
                         attempts += 1
                         continue
-                    truth = is_tnn(x)
+                    truth = reference_is_tnn(x)
+                    assert is_tnn(x) == truth
                     assert chamber_criterion(sch, x).verdict == truth
                     assert chamber_set_criterion(u, v, x).verdict == truth
                     if positive:
