@@ -7,15 +7,18 @@ all nonzero while the minors with rows w([1,i-1] u {j}) and columns
 upper and lower decompositions and inverts the cell representative,
 which is how the second coordinate of a double cell is read off.
 
-Classification tries candidate permutations until one fits, and each
-try checks invertibility; `det` caches the determinant on the matrix,
-so that check costs one elimination per classified matrix.
+Classification tries candidate permutations until one fits.  Each try
+checks invertibility, reads the nonzero family off one elimination (its
+minors are, up to sign, the leading principal minors of rows w(1), ...,
+w(n-1) in that order) and takes one `minor` per vanishing condition;
+`det` caches the determinant on the matrix, so the invertibility check
+costs one elimination per classified matrix.
 """
 
 from __future__ import annotations
 
 from .errors import Singular
-from .linalg import det, minor
+from .linalg import _eliminate, det, minor
 from .permutations import all_permutations
 
 
@@ -24,12 +27,12 @@ def in_bruhat_cell(x, w):
     if det(x) == 0:
         raise Singular("Bruhat decomposition needs an invertible matrix")
     n = x.n
-    cols = []
-    for i in range(1, n):
-        cols.append(tuple(range(1, i + 1)))
-        rows = tuple(sorted(w(a) for a in range(1, i + 1)))
-        if minor(x, rows, cols[-1]) == 0:
-            return False
+    # the nonvanishing family is nonzero iff elimination of rows w(1),
+    # ..., w(n-1) over the first n-1 columns finds each pivot on the diagonal
+    block = [list(x.rows[w(a) - 1][:n - 1]) for a in range(1, n)]
+    stop, swaps = _eliminate(block, n - 1)
+    if swaps or stop < n - 1:
+        return False
     for i in range(1, n):
         prefix = [w(a) for a in range(1, i)]
         for j in range(i + 1, n + 1):

@@ -20,6 +20,8 @@ faster or leaner routines against them.
 - Minors by Bareiss's fraction-free elimination, the recurrence the
   library used before its one Gaussian elimination, and Gaussian
   decomposability read off the leading principal minors.
+- Bruhat cell membership with one `minor` call per condition, the
+  nonvanishing ones included.
 - The h-commutation spelled out case by case (h on either side, j = i,
   j = i + 1 or another j), and exchange certificates found by trying the
   Dodgson pattern, then both orientations and both versions of the
@@ -34,13 +36,13 @@ from itertools import combinations
 from tpfact.bruhat import double_cell_of
 from tpfact.errors import (ArityMismatch, BadToken, DecompositionFailure,
                            IndexOutOfRange, NotAnExchange, NotInG0,
-                           PreconditionError, PreconditionViolated,
+                           PreconditionError, PreconditionViolated, Singular,
                            SizeMismatch, ValidationError, WrongCell,
                            ZeroDiagonal)
 from tpfact.identities import (ExchangeCertificate, dodgson_terms,
                                plucker_terms)
-from tpfact.linalg import (Matrix, check_index_pair, inverse, ldu_decompose,
-                           minor)
+from tpfact.linalg import (Matrix, check_index_pair, det, inverse,
+                           ldu_decompose, minor)
 from tpfact.networks import parameters, sweep
 from tpfact.permutations import Permutation, signed_representative
 from tpfact.schemes import (BRAID3, E, F, H, MIXED2, TRIVIAL2,
@@ -570,6 +572,31 @@ def leading_principal_minors(x):
 def in_G0(x):
     """Is x Gaussian decomposable (all leading principal minors nonzero)?"""
     return all(m != 0 for m in leading_principal_minors(x))
+
+
+# ---------------------------------------------------------------------------
+# Bruhat cells
+
+
+def reference_in_bruhat_cell(x, w):
+    """Is x in the upper Bruhat cell of w?  One `minor` call for each
+    nonvanishing minor (rows w([1,i]), columns [1,i], i < n) and each
+    vanishing one."""
+    if det(x) == 0:
+        raise Singular("Bruhat decomposition needs an invertible matrix")
+    n = x.n
+    for i in range(1, n):
+        rows = tuple(sorted(w(a) for a in range(1, i + 1)))
+        if minor(x, rows, tuple(range(1, i + 1))) == 0:
+            return False
+    for i in range(1, n):
+        prefix = [w(a) for a in range(1, i)]
+        for j in range(i + 1, n + 1):
+            if w(i) < w(j):
+                rows = tuple(sorted(prefix + [w(j)]))
+                if minor(x, rows, tuple(range(1, i + 1))) != 0:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from reference import in_G0
+from reference import in_G0, reference_in_bruhat_cell
 from tpfact import bruhat, linalg
 from tpfact.bruhat import bruhat_cell_of, double_cell_of, in_bruhat_cell
 from tpfact.errors import NotInG0, Singular
 from tpfact.linalg import Matrix, det, ldu_decompose
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.product_map import product
-from tpfact.schemes import seed_scheme
+from tpfact.schemes import H, seed_scheme
 
 
 def mat(rows):
@@ -61,6 +62,55 @@ def test_double_cell_of_scheme_products():
             vals = [Fraction(rng.randint(1, 9), rng.randint(1, 5))
                     for _ in range(sch.length)]
             assert double_cell_of(product(sch, vals)) == (u, v)
+
+
+def _signed_seed_products(cells, rng):
+    """Seed-scheme products at positive parameters, one e/f negated."""
+    for u, v in cells:
+        sch = seed_scheme(u, v)
+        vals = [Fraction(rng.randint(1, 9), rng.randint(1, 5))
+                for _ in range(sch.length)]
+        ef = [k for k, sym in enumerate(sch.word) if sym.kind != H]
+        if ef:
+            k = rng.choice(ef)
+            vals[k] = -vals[k]
+        yield product(sch, vals)
+
+
+def _membership_inputs():
+    rng = random.Random(21)
+    for entries in itertools.product((0, 1), repeat=9):
+        x = mat([entries[:3], entries[3:6], entries[6:]])
+        if det(x) != 0:
+            yield x
+    done = 0
+    while done < 200:
+        x = mat([[rng.randint(-1, 1) for _ in range(4)] for _ in range(4)])
+        if det(x) != 0:
+            done += 1
+            yield x
+    s3 = list(all_permutations(3))
+    yield from _signed_seed_products(itertools.product(s3, s3), rng)
+    s4 = list(all_permutations(4))
+    yield from _signed_seed_products(
+        [(rng.choice(s4), rng.choice(s4)) for _ in range(72)], rng)
+
+
+def test_in_bruhat_cell_matches_minor_by_minor_reference():
+    # one elimination per candidate decides the nonvanishing family; the
+    # inputs make a nested minor vanish at every order i < n
+    vanished = set()
+    count = {3: 0, 4: 0}
+    for x in _membership_inputs():
+        count[x.n] += 1
+        for w in all_permutations(x.n):
+            assert in_bruhat_cell(x, w) == reference_in_bruhat_cell(x, w), (x, w)
+            for i in range(1, x.n):
+                rows = tuple(sorted(w(a) for a in range(1, i + 1)))
+                if linalg.minor(x, rows, tuple(range(1, i + 1))) == 0:
+                    vanished.add((x.n, i))
+    assert count == {3: 174 + 36, 4: 200 + 72}
+    assert vanished == {(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)}
 
 
 def test_in_G0():

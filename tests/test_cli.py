@@ -433,6 +433,22 @@ def test_enumerate_refuses_too_many_words_at_once(u, v, count):
     assert f"would key at least {count} scheme words" in out.stderr
 
 
+@pytest.mark.parametrize("n, message", [
+    (14, "has 40,116,599 minors, more than MAX_CHAMBER_SET_MINORS = 20,000"),
+    (40, "has more than 20,000 chamber sets"),
+], ids=["open-14", "open-40"])
+def test_check_chamberset_refuses_a_large_family_at_once(tmp_path, n, message):
+    # every subset is a chamber set of the open cell: C(2n, n) - 1 minors
+    pascal = [[str(comb(i + j, i)) for j in range(n)] for i in range(n)]
+    path = write_matrix(tmp_path, "pascal.json", n, pascal)
+    w0 = ",".join(map(str, range(n, 0, -1)))
+    out = fresh_python("-m", "tpfact.cli", "check", "--matrix", path,
+                       "--mode", "chamberset", "--u", w0, "--v", w0, timeout=1)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ") and message in out.stderr
+
+
 def test_check_all_on_a_tnn_16x16_matrix_finishes_in_seconds(tmp_path):
     # the all-minors scan would evaluate C(32, 16) - 1 = 601,080,389 minors
     pascal = [[str(comb(i + j, i)) for j in range(16)] for i in range(16)]

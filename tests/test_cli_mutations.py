@@ -11,6 +11,7 @@ import copy
 import io
 import json
 import random
+import signal
 import sys
 
 import pytest
@@ -52,16 +53,33 @@ PERMUTATION_COMMANDS = [
 ]
 
 
+# every case is an n <= 4 input that must be refused at once
+CASE_SECONDS = 2
+
+
+class CaseTimeout(Exception):
+    pass
+
+
+def _time_out(signum, frame):
+    raise CaseTimeout(f"ran past {CASE_SECONDS} s")
+
+
 def run_main(argv, stdin):
-    """Exit code, stdout and stderr of one in-process run."""
+    """Exit code, stdout and stderr of one in-process run, which a
+    real-time alarm stops after CASE_SECONDS."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin, sys.stdout, sys.stderr
+    handler = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
     sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), out, err
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejected an option
         code = exc.code
     finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
         sys.stdin, sys.stdout, sys.stderr = saved
     return code, out.getvalue(), err.getvalue()
 

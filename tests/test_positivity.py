@@ -3,17 +3,20 @@ import random
 import re
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from reference import (elementary_product, reference_is_tnn,
                        reference_is_tp, reference_w_chamber_sets)
+from tpfact import positivity
 from tpfact.bruhat import double_cell_of
-from tpfact.errors import ValidationError
+from tpfact.errors import TooMuchWork, ValidationError
 from tpfact.linalg import Matrix, det, minor
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.positivity import (
     GL3_COMMON_MINORS,
+    MAX_CHAMBER_SET_MINORS,
     _cauchon_matrix,
     chamber_criterion,
     chamber_set_criterion,
@@ -192,6 +195,31 @@ def test_w_chamber_sets_of_a_chain_cost_no_subset_scan():
     sets = w_chamber_sets(e20)
     assert time.perf_counter() - t0 < 0.05
     assert sets == [tuple(range(1, k + 1)) for k in range(1, 21)]
+
+
+def test_w_chamber_sets_refuse_past_their_limit():
+    with pytest.raises(TooMuchWork, match="has more than 100 chamber sets"):
+        w_chamber_sets(Permutation.longest_element(40), 100)
+    assert len(w_chamber_sets(Permutation.longest_element(7), 127)) == 127
+
+
+def test_chamber_set_family_is_counted_before_any_minor(monkeypatch):
+    def no_minor(*args):
+        raise AssertionError("a minor was evaluated")
+
+    monkeypatch.setattr(positivity, "minor", no_minor)
+    w9 = Permutation.longest_element(9)
+    with pytest.raises(TooMuchWork, match="has 48,619 minors, more than "
+                       "MAX_CHAMBER_SET_MINORS = 20,000"):
+        chamber_set_criterion(w9, w9, Matrix.identity(9))
+    # the bound covers the open cell up to n = 8
+    assert comb(16, 8) - 1 <= MAX_CHAMBER_SET_MINORS
+    evaluated = []
+    monkeypatch.setattr(positivity, "minor",
+                        lambda x, rows, cols: evaluated.append(rows) or 1)
+    w8 = Permutation.longest_element(8)
+    assert chamber_set_criterion(w8, w8, Matrix.identity(8)).verdict
+    assert len(evaluated) == comb(16, 8) - 1
 
 
 def test_chamber_set_criterion_identity_cell():
