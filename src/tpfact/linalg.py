@@ -83,8 +83,20 @@ def check_index_pair(row_set, col_set, n):
     return pair
 
 
+def exact_scalar(value, what):
+    """value as a Fraction if it is an int (not a bool) or a Fraction;
+    anything else, floats and strings included, raises ValidationError
+    naming `what`."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValidationError(
+        f"{what} {value!r} is a {type(value).__name__}, not an int or a Fraction")
+
+
 class Matrix:
-    """Immutable square matrix of Fractions.
+    """Immutable square matrix of Fractions, built from ints and Fractions.
 
     `_det` holds the determinant once `det` has computed it; it takes no
     part in equality, hashing or repr.
@@ -93,7 +105,11 @@ class Matrix:
     __slots__ = ("n", "rows", "_det")
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        rows = tuple(tuple(
+            e if type(e) is Fraction else Fraction(e) if type(e) is int
+            else exact_scalar(e, f"entry ({i}, {j})")
+            for j, e in enumerate(row, start=1))
+            for i, row in enumerate(rows, start=1))
         n = len(rows)
         if n == 0:
             raise SizeMismatch("matrix must have size at least 1")
@@ -111,8 +127,8 @@ class Matrix:
     def diagonal(cls, entries):
         entries = list(entries)
         n = len(entries)
-        return cls([[Fraction(entries[i]) if i == j else Fraction(0)
-                     for j in range(n)] for i in range(n)])
+        return cls([[entries[i] if i == j else 0 for j in range(n)]
+                    for i in range(n)])
 
     def entry(self, i, j):
         """1-based entry access."""
@@ -192,6 +208,20 @@ def det(x):
     return x._det
 
 
+def _ldu_work(work):
+    """Eliminate the square rows `work` in place as the Gaussian LDU
+    needs, or raise NotInG0 naming the first vanishing leading principal
+    minor: the factors exist iff every pivot is found on the diagonal.
+    The rows then hold L's multipliers below the diagonal, D's pivots on
+    it and D U above it."""
+    n = len(work)
+    stop, swaps = _eliminate(work, n)
+    if swaps or stop < n:
+        order = (swaps[0] if swaps else stop) + 1
+        raise NotInG0(f"leading principal minor of order {order} vanishes")
+    return work
+
+
 def ldu_decompose(x):
     """Gaussian LDU factors (L unit lower, D diagonal, U unit upper).
 
@@ -200,11 +230,7 @@ def ldu_decompose(x):
     and D its pivots, the ratios of consecutive leading principal minors.
     """
     n = x.n
-    work = [list(row) for row in x.rows]
-    stop, swaps = _eliminate(work, n)
-    if swaps or stop < n:
-        order = (swaps[0] if swaps else stop) + 1
-        raise NotInG0(f"leading principal minor of order {order} vanishes")
+    work = _ldu_work([list(row) for row in x.rows])
     d = [work[i][i] for i in range(n)]
     lower = [[work[i][j] if j < i else Fraction(int(i == j)) for j in range(n)]
              for i in range(n)]

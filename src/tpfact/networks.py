@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArityMismatch
-from .linalg import Matrix
+from .linalg import Matrix, exact_scalar
 from .schemes import E, H
 
 
@@ -66,8 +66,9 @@ def build_network(scheme):
 
 def parameters(values, length):
     """The parameter vector as Fractions, one per symbol of a
-    length-`length` scheme."""
-    values = [Fraction(v) for v in values]
+    length-`length` scheme; each value must be an int or a Fraction."""
+    values = [exact_scalar(v, f"parameter {k}")
+              for k, v in enumerate(values, start=1)]
     if len(values) != length:
         raise ArityMismatch(
             f"{len(values)} parameters for a length-{length} scheme")

@@ -104,11 +104,11 @@ class FactorizationScheme(NamedTuple):
 
     @property
     def u(self):
-        return Permutation.from_word(self.n, self.f_subword)
+        return _word_permutation(self.n, self.f_subword)
 
     @property
     def v(self):
-        return Permutation.from_word(self.n, self.e_subword)
+        return _word_permutation(self.n, self.e_subword)
 
     @property
     def cell_type(self):
@@ -123,6 +123,13 @@ class FactorizationScheme(NamedTuple):
 
     def __str__(self):
         return " ".join(s.token for s in self.word)
+
+
+@lru_cache(maxsize=1024)
+def _word_permutation(n, word):
+    """The permutation of a reduced word, shared: Permutation is immutable.
+    One entry is a few hundred bytes, so the cache holds well under 1 MB."""
+    return Permutation.from_word(n, word)
 
 
 def parse_scheme(text):
@@ -256,7 +263,8 @@ def chamber_minor_family(scheme):
     remaining l chambers are listed by level and then left to right.
     """
     u = scheme.u
-    vinv = scheme.v.inverse()
+    # the reversed word of v spells v^-1
+    vinv = _word_permutation(scheme.n, scheme.e_subword[::-1])
     return [(u.apply(row_set), vinv.apply(col_set)) for _, _, row_set, col_set
             in _chamber_sets(scheme.n, scheme.word)[1:]]
 

@@ -10,15 +10,26 @@ lower and unit upper factors of the Gaussian decomposition of z.  The
 twist lands in the double cell of (u^{-1}, v^{-1}) and is inverted by
 the twist for that cell; it preserves total nonnegativity.
 
-ubar, vibar and d0 act as row or column permutations with signs, in
-O(n^2); only the product of the three middle factors is dense.
+No inverse is formed.  From x^T ubar = L1 D1 U1 it follows that
+U1 ubar^T (x^T)^{-1} = (L1 D1)^{-1}, so with L2 = [vibar^T x^T]_-
+
+    x' = d0 (L1 D1)^{-1} vibar L2 d0.
+
+The column signs S of ubar = P S and S' of vibar = P' S' only rescale
+factors (L1 and D1 S are those of x^T P, S' L2 S' is that of P'^T x^T),
+so x' = d0 S D1^{-1} L1^{-1} P' L2 S' d0 with L1, D1 and L2 read off one
+elimination each of the permuted copies x^T P and P'^T x^T of x, and no
+U factor divided out.  One forward substitution applies L1^{-1} to the
+row permutation P' L2; D1, S, S' and d0 then scale rows and columns.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .bruhat import double_cell_of
 from .errors import DecompositionFailure, NotInG0, SizeMismatch, WrongCell
-from .linalg import Matrix, inverse, ldu_decompose
+from .linalg import Matrix, _ldu_work
 from .permutations import signed_columns
 
 
@@ -36,19 +47,33 @@ def twist(x, u, v):
 
 def _twist_in_cell(x, u, v):
     """The twist formula, for x already known to lie in the cell (u, v)."""
+    n = x.n
     ubar = signed_columns(u)
     vibar = signed_columns(v.inverse())
-    xt = x.transpose()
+    cols = tuple(zip(*x.rows))
     try:
-        # column j of z ubar is s z[:, i]; row j of ubar^T z is s z[i, :]
-        _, _, left = ldu_decompose(
-            Matrix([[row[i] * s for i, s in ubar] for row in xt.rows]))
-        right, _, _ = ldu_decompose(
-            Matrix([[s * a for a in xt.rows[i]] for i, s in vibar]))
+        # column j of x^T P is column i of x^T, row j of P'^T x^T is its row i
+        left = _ldu_work([[col[i] for i, _ in ubar] for col in cols])
+        right = _ldu_work([list(cols[i]) for i, _ in vibar])
     except NotInG0 as exc:
         raise DecompositionFailure(f"no Gaussian decomposition: {exc}") from exc
-    inv = inverse(xt).rows
-    middle = Matrix([[s * t * inv[i][k] for k, t in vibar] for i, s in ubar])
-    # d0 z d0, with d0 its own inverse, signs entry (i, j) by (-1)^(i+j)
-    return Matrix([[-a if (i + j) % 2 else a for j, a in enumerate(row)]
-                   for i, row in enumerate((left * middle * right).rows)])
+    # row i of P' L2 is row j of L2 for the (i, s) of column j of vibar
+    one, zero = Fraction(1), Fraction(0)
+    rows = [None] * n
+    for j, (i, _) in enumerate(vibar):
+        rows[i] = right[j][:j] + [one] + [zero] * (n - 1 - j)
+    # forward substitution: row i of L1^{-1} P' L2
+    for i in range(1, n):
+        acc = rows[i]
+        for f, prev in zip(left[i][:i], rows):
+            if f:
+                acc = [a - f * b for a, b in zip(acc, prev)]
+        rows[i] = acc
+    # d0 S scales row i by (-1)^i S_i, folded into its pivot; S' d0
+    # scales column j by (-1)^j S'_j
+    col_sign = [(-1) ** j * s for j, (_, s) in enumerate(vibar)]
+    out = []
+    for i, (row, (_, s)) in enumerate(zip(rows, ubar)):
+        d = (-1) ** i * s * left[i][i]
+        out.append([a / d if t > 0 else -a / d for a, t in zip(row, col_sign)])
+    return Matrix(out)

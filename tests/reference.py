@@ -330,8 +330,7 @@ def alternating_diagonal(n):
 
 
 def reference_twist(x, u, v):
-    """The twist formula with ubar, vibar and d0 multiplied in as dense
-    matrices: eight products of size n."""
+    """`twist` with its cell check, by the dense formula below."""
     if x.n != u.n or u.n != v.n:
         raise SizeMismatch("matrix and permutations must share one size")
     cell = double_cell_of(x)
@@ -339,6 +338,14 @@ def reference_twist(x, u, v):
         raise WrongCell(
             f"matrix lies in the double cell of ({cell[0]}, {cell[1]}), "
             f"not ({u}, {v})")
+    return reference_twist_formula(x, u, v)
+
+
+def reference_twist_formula(x, u, v):
+    """The twist formula with ubar, vibar and d0 multiplied in as dense
+    matrices: eight products of size n, the inverse of x^T and both LDU
+    factorizations in full.  No cell check, so it costs no
+    classification at any n."""
     ubar = signed_representative(u)
     vibar = signed_representative(v.inverse())
     xt = x.transpose()

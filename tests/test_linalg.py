@@ -51,6 +51,24 @@ def test_identity_and_diagonal():
     assert d.entry(1, 1) == 2 and d.entry(2, 2) == 3 and d.entry(1, 2) == 0
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "1_0", "1/2", None,
+                                 complex(1, 0), [1]])
+def test_matrix_takes_only_exact_scalars(bad):
+    with pytest.raises(ValidationError, match=r"entry \(2, 1\)"):
+        Matrix([[1, 0], [bad, 1]])
+    with pytest.raises(ValidationError, match=r"entry \(2, 2\)"):
+        Matrix.diagonal([1, bad])
+
+
+def test_matrix_keeps_fractions_and_converts_ints():
+    half = Fraction(1, 2)
+    x = Matrix([[half, 3], [-2, Fraction(4)]])
+    assert x.rows[0][0] is half
+    assert all(type(e) is Fraction for row in x.rows for e in row)
+    assert x.rows == ((half, 3), (-2, 4))
+    assert Matrix.diagonal([2, half]).rows == ((2, 0), (0, half))
+
+
 def test_multiply_matches_by_hand():
     a = Matrix(((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))))
     b = Matrix(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))

@@ -6,9 +6,9 @@ import pytest
 
 from reference import (Polynomial, elementary_product, symbolic_entry,
                        symbolic_minor)
-from tpfact.errors import ArityMismatch, IndexOutOfRange
+from tpfact.errors import ArityMismatch, IndexOutOfRange, ValidationError
 from tpfact.linalg import minor
-from tpfact.networks import build_network, evaluate_network
+from tpfact.networks import build_network, evaluate_network, parameters
 from tpfact.permutations import Permutation
 from tpfact.product_map import product
 from tpfact.schemes import parse_scheme, seed_scheme
@@ -188,3 +188,13 @@ def test_network_rejects_wrong_arity():
     net = build_network(sch)
     with pytest.raises(ArityMismatch):
         evaluate_network(net, [Fraction(1)])
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1", None])
+def test_parameters_take_only_exact_scalars(bad):
+    sch = parse_scheme("h1 h2 e1")
+    with pytest.raises(ValidationError, match="parameter 3"):
+        product(sch, [Fraction(1, 2), 1, bad])
+    with pytest.raises(ValidationError, match="parameter 1"):
+        evaluate_network(build_network(sch), [bad, 1, 1])
+    assert parameters([2, Fraction(1, 3)], 2) == [2, Fraction(1, 3)]

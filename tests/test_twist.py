@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from reference import alternating_diagonal, reference_twist
+from reference import (alternating_diagonal, reference_twist,
+                       reference_twist_formula)
 from tpfact.bruhat import double_cell_of
-from tpfact.errors import PreconditionError, SizeMismatch, WrongCell
+from tpfact.errors import (DecompositionFailure, PreconditionError,
+                           SizeMismatch, WrongCell)
 from tpfact.linalg import Matrix, det, minor
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.positivity import is_tnn
 from tpfact.product_map import product
 from tpfact.schemes import parse_scheme, seed_scheme
-from tpfact.twist import twist
+from tpfact.twist import _twist_in_cell, twist
 
 
 def mat(rows):
@@ -189,3 +191,52 @@ def test_twist_wrong_size():
         twist(x, u, v)
     with pytest.raises(SizeMismatch):
         twist(x, v, v)
+
+
+def test_twist_formula_matches_dense_reference_at_n6_to_8():
+    # Classification is the n! search, so these sizes call the formula
+    # directly: equal to the dense one wherever both LDUs exist, in or out
+    # of the cell, and failing with the same message where one does not.
+    rng = random.Random(2201)
+    twisted = 0
+    for n in (6, 7, 8):
+        for _ in range(3):
+            u, v = (Permutation(rng.sample(range(1, n + 1), n)) for _ in "uv")
+            sch = seed_scheme(u, v)
+            for k in range(3):
+                vals = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) if k == 0
+                        else rand_nonzero(rng) for _ in range(sch.length)]
+                x = product(sch, vals)
+                got = twist_outcome(_twist_in_cell, x, u, v)
+                assert got == twist_outcome(reference_twist_formula, x, u, v)
+                twisted += isinstance(got, Matrix)
+    assert twisted >= 9  # at least every positive point
+
+
+def test_twist_round_trip_on_open_cell_n10():
+    # a positive seed-scheme product lies in its scheme's cell (the
+    # paper's theorem), so the n! classification of twist is skipped
+    w0 = Permutation.longest_element(10)
+    sch = seed_scheme(w0, w0)
+    rng = random.Random(2202)
+    x = product(sch, [Fraction(rng.randint(1, 15), rng.randint(1, 15))
+                      for _ in range(sch.length)])
+    y = _twist_in_cell(x, w0, w0)
+    assert is_tnn(y)
+    assert _twist_in_cell(y, w0.inverse(), w0.inverse()) == x
+
+
+@pytest.mark.parametrize("rows, u, v, order", [
+    ([[1, 0], [0, 1]], "21", "21", 1),             # x^T ubar fails
+    ([[1, 0], [1, 1]], "12", "21", 1),             # vibar^T x^T fails
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 0]], "123", "123", 2),
+])
+def test_twist_in_cell_wrong_cell_names_vanishing_minor(rows, u, v, order):
+    x = mat(rows)
+    u, v = Permutation.from_string(u), Permutation.from_string(v)
+    with pytest.raises(DecompositionFailure) as info:
+        _twist_in_cell(x, u, v)
+    assert str(info.value) == ("no Gaussian decomposition: leading principal "
+                               f"minor of order {order} vanishes")
+    assert twist_outcome(reference_twist_formula, x, u, v) == (
+        DecompositionFailure, str(info.value))
