@@ -24,9 +24,8 @@ _EXPORTS = {
     "errors": ("PreconditionError", "ValidationError"),
     "identities": ("ExchangeCertificate", "check_dodgson", "check_plucker",
                    "exchange_certificate", "fuzz"),
-    "linalg": ("Matrix", "det", "inverse", "ldu_decompose",
-               "matrix_from_json", "matrix_from_json_text", "matrix_to_json",
-               "minor", "scalar_from_str", "scalar_to_str"),
+    "linalg": ("Matrix", "det", "matrix_from_json", "matrix_from_json_text",
+               "matrix_to_json", "minor", "scalar_from_str", "scalar_to_str"),
     "networks": ("build_network", "evaluate_network"),
     "permutations": ("Permutation", "is_reduced", "signed_representative"),
     "positivity": ("CriterionReport", "chamber_criterion",

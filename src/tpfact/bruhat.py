@@ -18,7 +18,7 @@ costs one elimination per classified matrix.
 from __future__ import annotations
 
 from .errors import Singular
-from .linalg import _eliminate, det, minor
+from .linalg import _first_zero_leading_minor, det, minor
 from .permutations import all_permutations
 
 
@@ -27,11 +27,8 @@ def in_bruhat_cell(x, w):
     if det(x) == 0:
         raise Singular("Bruhat decomposition needs an invertible matrix")
     n = x.n
-    # the nonvanishing family is nonzero iff elimination of rows w(1),
-    # ..., w(n-1) over the first n-1 columns finds each pivot on the diagonal
     block = [list(x.rows[w(a) - 1][:n - 1]) for a in range(1, n)]
-    stop, swaps = _eliminate(block, n - 1)
-    if swaps or stop < n - 1:
+    if _first_zero_leading_minor(block, n - 1):
         return False
     for i in range(1, n):
         prefix = [w(a) for a in range(1, i)]

@@ -26,10 +26,6 @@ class IndexOutOfRange(ValidationError):
     pass
 
 
-class NotInG0(PreconditionError):
-    """Some leading principal minor vanishes; no LDU factorization."""
-
-
 class Singular(PreconditionError):
     pass
 

@@ -12,8 +12,7 @@ import json
 from fractions import Fraction
 from math import prod
 
-from .errors import (IndexOutOfRange, NotInG0, Singular, SizeMismatch,
-                     ValidationError)
+from .errors import IndexOutOfRange, SizeMismatch, ValidationError
 
 
 # The longest integer an input literal may spell out: Python's default
@@ -123,13 +122,6 @@ class Matrix:
     def identity(cls, n):
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, entries):
-        entries = list(entries)
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)]
-                    for i in range(n)])
-
     def entry(self, i, j):
         """1-based entry access."""
         if not all(type(a) is int and 1 <= a <= self.n for a in (i, j)):
@@ -181,6 +173,18 @@ def _eliminate(m, k):
     return k, swaps
 
 
+def _first_zero_leading_minor(m, k):
+    """The G0 rule: eliminate the first k columns of the rows m in place
+    (`_eliminate`) and return the order of the first vanishing leading
+    principal minor, or 0 when every pivot is found on the diagonal.  In
+    that case m = [m]_- [m]_0 [m]_+, and the rows hold [m]_-'s multipliers
+    below the diagonal and [m]_0's pivots on it."""
+    stop, swaps = _eliminate(m, k)
+    if swaps:
+        return swaps[0] + 1
+    return stop + 1 if stop < k else 0
+
+
 def minor(x, row_set, col_set):
     """Minor with the given 1-based row and column subsets.
 
@@ -206,53 +210,6 @@ def det(x):
         full = tuple(range(1, x.n + 1))
         x._det = minor(x, full, full)
     return x._det
-
-
-def _ldu_work(work):
-    """Eliminate the square rows `work` in place as the Gaussian LDU
-    needs, or raise NotInG0 naming the first vanishing leading principal
-    minor: the factors exist iff every pivot is found on the diagonal.
-    The rows then hold L's multipliers below the diagonal, D's pivots on
-    it and D U above it."""
-    n = len(work)
-    stop, swaps = _eliminate(work, n)
-    if swaps or stop < n:
-        order = (swaps[0] if swaps else stop) + 1
-        raise NotInG0(f"leading principal minor of order {order} vanishes")
-    return work
-
-
-def ldu_decompose(x):
-    """Gaussian LDU factors (L unit lower, D diagonal, U unit upper).
-
-    They exist iff every leading principal minor is nonzero, so iff
-    elimination finds each pivot on the diagonal; L holds its multipliers
-    and D its pivots, the ratios of consecutive leading principal minors.
-    """
-    n = x.n
-    work = _ldu_work([list(row) for row in x.rows])
-    d = [work[i][i] for i in range(n)]
-    lower = [[work[i][j] if j < i else Fraction(int(i == j)) for j in range(n)]
-             for i in range(n)]
-    upper = [[work[i][j] / d[i] if j > i else Fraction(int(i == j))
-              for j in range(n)] for i in range(n)]
-    return Matrix(lower), Matrix.diagonal(d), Matrix(upper)
-
-
-def inverse(x):
-    """Inverse by Gaussian elimination of [x | I] with row pivoting,
-    then back substitution on the right block."""
-    n = x.n
-    work = [list(a + b) for a, b in zip(x.rows, Matrix.identity(n).rows)]
-    if _eliminate(work, n)[0] < n:
-        raise Singular("matrix is not invertible")
-    inv = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = work[i][n:]
-        for j in range(i + 1, n):
-            acc = [a - work[i][j] * b for a, b in zip(acc, inv[j])]
-        inv[i] = [a / work[i][i] for a in acc]
-    return Matrix(inv)
 
 
 def matrix_to_json(x):

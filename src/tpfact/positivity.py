@@ -122,20 +122,21 @@ def chamber_criterion(scheme, x):
     return _family_report(x, chamber_minor_family(scheme))
 
 
-def w_chamber_sets(w, limit=None):
+def w_chamber_sets(w):
     """Subsets closed under: j in S forces every i < j with w(i) < w(j).
 
     Listed by size, then lexicographically; the empty set is skipped.
     They are the order ideals of i < j, w(i) < w(j), grown one element
     at a time: j joins each ideal that holds all of its predecessors.
-    Past a given limit on their number it raises TooMuchWork.
+    Past MAX_CHAMBER_SET_MINORS sets it raises TooMuchWork.
     """
     ideals = [()]
     for j in range(1, w.n + 1):
         below = {i for i in range(1, j) if w(i) < w(j)}
         ideals += [s + (j,) for s in ideals if below.issubset(s)]
-        if limit is not None and len(ideals) - 1 > limit:
-            raise TooMuchWork(f"{w} has more than {limit:,} chamber sets")
+        if len(ideals) - 1 > MAX_CHAMBER_SET_MINORS:
+            raise TooMuchWork(
+                f"{w} has more than {MAX_CHAMBER_SET_MINORS:,} chamber sets")
     return sorted(ideals[1:], key=lambda s: (len(s), s))
 
 
@@ -156,8 +157,8 @@ def chamber_set_criterion(u, v, x):
     """
     if x.n != u.n or u.n != v.n:
         raise SizeMismatch("matrix and permutations must share one size")
-    row_sets = w_chamber_sets(u.inverse(), MAX_CHAMBER_SET_MINORS)
-    col_sets = w_chamber_sets(v, MAX_CHAMBER_SET_MINORS)
+    row_sets = w_chamber_sets(u.inverse())
+    col_sets = w_chamber_sets(v)
     sizes = Counter(map(len, col_sets))
     count = sum(sizes[len(rows)] for rows in row_sets)
     if count > MAX_CHAMBER_SET_MINORS:

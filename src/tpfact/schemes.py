@@ -87,7 +87,7 @@ class FactorizationScheme(NamedTuple):
                 f"h-part {h_indices} is not a permutation of 1..{n}")
         for name, word, error in (("e", self.e_subword, NotReducedE),
                                   ("f", self.f_subword, NotReducedF)):
-            if len(word) != Permutation.from_word(n, word).length():
+            if len(word) != _word_permutation(n, word).length():
                 raise error(f"{name}-subword {word} is not reduced")
 
     @property

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import ZeroMinor
 from .linalg import minor
-from .schemes import E, F, H, build_arrangement
+from .schemes import E, H, build_arrangement
 from .twist import twist
 
 _SIGMA = {"FE": 1, "EF": -1}

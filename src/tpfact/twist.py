@@ -28,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bruhat import double_cell_of
-from .errors import DecompositionFailure, NotInG0, SizeMismatch, WrongCell
-from .linalg import Matrix, _ldu_work
+from .errors import DecompositionFailure, SizeMismatch, WrongCell
+from .linalg import Matrix, _first_zero_leading_minor
 from .permutations import signed_columns
 
 
@@ -51,12 +51,14 @@ def _twist_in_cell(x, u, v):
     ubar = signed_columns(u)
     vibar = signed_columns(v.inverse())
     cols = tuple(zip(*x.rows))
-    try:
-        # column j of x^T P is column i of x^T, row j of P'^T x^T is its row i
-        left = _ldu_work([[col[i] for i, _ in ubar] for col in cols])
-        right = _ldu_work([list(cols[i]) for i, _ in vibar])
-    except NotInG0 as exc:
-        raise DecompositionFailure(f"no Gaussian decomposition: {exc}") from exc
+    # column j of x^T P is column i of x^T, row j of P'^T x^T is its row i
+    left = [[col[i] for i, _ in ubar] for col in cols]
+    right = [list(cols[i]) for i, _ in vibar]
+    for work in (left, right):
+        order = _first_zero_leading_minor(work, n)
+        if order:
+            raise DecompositionFailure("no Gaussian decomposition: leading "
+                                       f"principal minor of order {order} vanishes")
     # row i of P' L2 is row j of L2 for the (i, s) of column j of vibar
     one, zero = Fraction(1), Fraction(0)
     rows = [None] * n

@@ -10,8 +10,10 @@ faster or leaner routines against them.
   chambers, each end monomial evaluated afresh from chamber minors.
 - The paper's explicit formulas: the product map as the ordered product
   of elementary Jacobi matrices, the twist as a product of dense
-  matrices (the signed permutations and d0 included), and each chamber
-  minor of the twist as the inverse of a monomial in the parameters.
+  matrices (the signed permutations and d0 included) whose Gaussian
+  factors and inverse come from the textbook minor formulas, and each
+  chamber minor of the twist as the inverse of a monomial in the
+  parameters.
 - Path polynomials: each minor of a scheme's product as the polynomial
   of vertex-disjoint path families in its network, read off the
   library's own sweep with Polynomial weights.
@@ -35,14 +37,12 @@ from itertools import combinations
 
 from tpfact.bruhat import double_cell_of
 from tpfact.errors import (ArityMismatch, BadToken, DecompositionFailure,
-                           IndexOutOfRange, NotAnExchange, NotInG0,
-                           PreconditionError, PreconditionViolated, Singular,
-                           SizeMismatch, ValidationError, WrongCell,
-                           ZeroDiagonal)
+                           IndexOutOfRange, NotAnExchange, PreconditionError,
+                           PreconditionViolated, Singular, SizeMismatch,
+                           ValidationError, WrongCell, ZeroDiagonal)
 from tpfact.identities import (ExchangeCertificate, dodgson_terms,
                                plucker_terms)
-from tpfact.linalg import (Matrix, check_index_pair, det, inverse,
-                           ldu_decompose, minor)
+from tpfact.linalg import Matrix, check_index_pair, det, minor
 from tpfact.networks import parameters, sweep
 from tpfact.permutations import Permutation, signed_representative
 from tpfact.schemes import (BRAID3, E, F, H, MIXED2, TRIVIAL2,
@@ -325,8 +325,57 @@ def elementary_product(scheme, values):
     return x
 
 
+def diagonal_matrix(entries):
+    entries = list(entries)
+    n = len(entries)
+    return Matrix([[entries[i] if i == j else 0 for j in range(n)]
+                   for i in range(n)])
+
+
 def alternating_diagonal(n):
-    return Matrix.diagonal([(-1) ** i for i in range(n)])
+    return diagonal_matrix([(-1) ** i for i in range(n)])
+
+
+def _unit_lower_factor(z, lead):
+    """[z]_- by its minor formula: entry (i, j), i > j, is
+    D([1, j-1] u {i}, [1, j]) / D([1, j], [1, j]), where lead[j] holds
+    the leading principal minor D([1, j], [1, j])."""
+    n = z.n
+    return Matrix([[reference_minor(z, tuple(range(1, j)) + (i,),
+                                    tuple(range(1, j + 1))) / lead[j]
+                    if i > j else int(i == j)
+                    for j in range(1, n + 1)] for i in range(1, n + 1)])
+
+
+def reference_gaussian_factors(z):
+    """z = [z]_- [z]_0 [z]_+ from minors alone, each by Bareiss: [z]_0
+    holds the ratios of consecutive leading principal minors, [z]_+ is
+    [z^T]_- transposed, and the first vanishing leading principal minor
+    raises DecompositionFailure.  Returns [z]_-, the diagonal of [z]_0
+    and [z]_+."""
+    n = z.n
+    lead = [Fraction(1)] + [reference_minor(z, range(1, k + 1), range(1, k + 1))
+                            for k in range(1, n + 1)]
+    for k in range(1, n + 1):
+        if lead[k] == 0:
+            raise DecompositionFailure("no Gaussian decomposition: leading "
+                                       f"principal minor of order {k} vanishes")
+    return (_unit_lower_factor(z, lead),
+            [lead[k] / lead[k - 1] for k in range(1, n + 1)],
+            _unit_lower_factor(z.transpose(), lead).transpose())
+
+
+def reference_inverse(x):
+    """x^{-1} as the adjugate over the determinant: entry (i, j) is
+    (-1)^(i+j) D([1, n] - {j}, [1, n] - {i}) / det x, by Bareiss."""
+    full = range(1, x.n + 1)
+    d = reference_minor(x, full, full)
+
+    def rest(k):
+        return tuple(a for a in full if a != k)
+
+    return Matrix([[(-1) ** (i + j) * reference_minor(x, rest(j), rest(i)) / d
+                    for j in full] for i in full])
 
 
 def reference_twist(x, u, v):
@@ -343,18 +392,16 @@ def reference_twist(x, u, v):
 
 def reference_twist_formula(x, u, v):
     """The twist formula with ubar, vibar and d0 multiplied in as dense
-    matrices: eight products of size n, the inverse of x^T and both LDU
-    factorizations in full.  No cell check, so it costs no
-    classification at any n."""
+    matrices: eight products of size n, with the inverse of x^T and both
+    Gaussian factors read off minors (`reference_inverse`,
+    `reference_gaussian_factors`), so it shares no elimination with the
+    library.  No cell check, so it costs no classification at any n."""
     ubar = signed_representative(u)
     vibar = signed_representative(v.inverse())
     xt = x.transpose()
-    try:
-        _, _, left = ldu_decompose(xt * ubar)
-        right, _, _ = ldu_decompose(vibar.transpose() * xt)
-    except NotInG0 as exc:
-        raise DecompositionFailure(f"no Gaussian decomposition: {exc}") from exc
-    middle = ubar.transpose() * inverse(xt) * vibar
+    _, _, left = reference_gaussian_factors(xt * ubar)
+    right, _, _ = reference_gaussian_factors(vibar.transpose() * xt)
+    middle = ubar.transpose() * reference_inverse(xt) * vibar
     d0 = alternating_diagonal(x.n)  # +-1 on the diagonal: its own inverse
     return d0 * left * middle * right * d0
 

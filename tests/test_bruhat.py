@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from reference import in_G0, reference_in_bruhat_cell
+from reference import in_G0, leading_principal_minors, reference_in_bruhat_cell
 from tpfact import bruhat, linalg
 from tpfact.bruhat import bruhat_cell_of, double_cell_of, in_bruhat_cell
-from tpfact.errors import NotInG0, Singular
-from tpfact.linalg import Matrix, det, ldu_decompose
+from tpfact.errors import Singular
+from tpfact.linalg import Matrix, _first_zero_leading_minor, det
 from tpfact.permutations import Permutation, all_permutations
 from tpfact.product_map import product
 from tpfact.schemes import H, seed_scheme
@@ -117,16 +117,18 @@ def test_in_G0():
     assert in_G0(mat([[2, 1], [1, 3]]))
     assert not in_G0(mat([[0, 1], [1, 0]]))
     assert not in_G0(mat([[1, 2], [2, 4]]))
-    # ldu_decompose finds its factors exactly on the matrices in G0
+    # elimination names the first vanishing leading principal minor,
+    # so it reads 0 exactly on the matrices in G0
     rng = random.Random(61)
+    orders = set()
     for _ in range(200):
         x = mat([[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)])
-        try:
-            ldu_decompose(x)
-        except NotInG0:
-            assert not in_G0(x)
-        else:
-            assert in_G0(x)
+        lead = leading_principal_minors(x)
+        order = next((k for k, m in enumerate(lead, 1) if m == 0), 0)
+        assert _first_zero_leading_minor([list(row) for row in x.rows], 3) == order
+        assert (order == 0) == in_G0(x)
+        orders.add(order)
+    assert orders == {0, 1, 2, 3}
 
 
 def test_singular_matrix_rejected():

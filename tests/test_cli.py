@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -290,11 +291,11 @@ EXPORTS = [
     "enumerate_isotopy_types", "evaluate_network", "exchange_certificate",
     "fekete_criterion", "fekete_families", "fekete_scheme",
     "first_negative_minor", "fuzz", "gl3_criteria_catalog", "in_bruhat_cell",
-    "inverse", "is_reduced", "is_tnn", "is_tp", "isotopy_dot", "isotopy_key",
-    "ldu_decompose", "matrix_from_json", "matrix_from_json_text",
-    "matrix_to_json", "minor", "parse_scheme", "product", "render_ascii",
-    "render_svg", "scalar_from_str", "scalar_to_str", "seed_scheme",
-    "signed_representative", "solve", "twist", "w_chamber_sets",
+    "is_reduced", "is_tnn", "is_tp", "isotopy_dot", "isotopy_key",
+    "matrix_from_json", "matrix_from_json_text", "matrix_to_json", "minor",
+    "parse_scheme", "product", "render_ascii", "render_svg", "scalar_from_str",
+    "scalar_to_str", "seed_scheme", "signed_representative", "solve", "twist",
+    "w_chamber_sets",
 ]
 
 LIBRARY = {f"tpfact.{name}" for name in (
@@ -397,6 +398,26 @@ def test_star_import_and_dir_cover_all():
     exec("from tpfact import *", namespace)
     for name in tpfact.__all__:
         assert namespace[name] is getattr(tpfact, name)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for name in sorted(os.listdir(os.path.join(SRC, "tpfact"))):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, "tpfact", name)) as f:
+            tree = ast.parse(f.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    imported[bound] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line} {bound}"
+                   for bound, line in imported.items() if bound not in read]
+    assert unused == []
 
 
 def test_unknown_package_attribute_raises():

@@ -198,9 +198,10 @@ def test_w_chamber_sets_of_a_chain_cost_no_subset_scan():
 
 
 def test_w_chamber_sets_refuse_past_their_limit():
-    with pytest.raises(TooMuchWork, match="has more than 100 chamber sets"):
-        w_chamber_sets(Permutation.longest_element(40), 100)
-    assert len(w_chamber_sets(Permutation.longest_element(7), 127)) == 127
+    # w0 of size n has 2^n - 1 chamber sets
+    with pytest.raises(TooMuchWork, match="has more than 20,000 chamber sets"):
+        w_chamber_sets(Permutation.longest_element(15))
+    assert len(w_chamber_sets(Permutation.longest_element(14))) == 16383
 
 
 def test_chamber_set_family_is_counted_before_any_minor(monkeypatch):

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from reference import (alternating_diagonal, reference_twist,
+from reference import (alternating_diagonal, diagonal_matrix,
+                       leading_principal_minors, reference_gaussian_factors,
+                       reference_inverse, reference_twist,
                        reference_twist_formula)
 from tpfact.bruhat import double_cell_of
 from tpfact.errors import (DecompositionFailure, PreconditionError,
@@ -28,6 +30,31 @@ def rand_nonzero(rng):
 def test_alternating_diagonal():
     d = alternating_diagonal(3)
     assert d.rows == ((1, 0, 0), (0, -1, 0), (0, 0, 1))
+
+
+def test_reference_factors_and_inverse_from_minors():
+    # entries in -1..1 so that some leading principal minors vanish
+    rng = random.Random(2301)
+    orders = set()
+    for n in (2, 3, 4, 5):
+        for _ in range(40):
+            z = Matrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+            lead = leading_principal_minors(z)
+            order = next((k for k, m in enumerate(lead, 1) if m == 0), 0)
+            orders.add(order)
+            if order:
+                with pytest.raises(DecompositionFailure) as info:
+                    reference_gaussian_factors(z)
+                assert str(info.value).endswith(f"order {order} vanishes")
+                continue
+            lower, d, upper = reference_gaussian_factors(z)
+            assert lower * diagonal_matrix(d) * upper == z
+            assert all(lower.entry(i, j) == (i == j) for i in range(1, n + 1)
+                       for j in range(i, n + 1))
+            assert all(upper.entry(j, i) == (i == j) for i in range(1, n + 1)
+                       for j in range(i, n + 1))
+            assert z * reference_inverse(z) == Matrix.identity(n)
+    assert orders == {0, 1, 2, 3, 4, 5}
 
 
 def test_sl2_identity_cell():
