@@ -19,6 +19,7 @@ the C(2n, n) - 1 minors by order, in time exponential in n.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -175,30 +176,6 @@ def chamber_set_criterion(u, v, x):
 # Fekete-style interval criteria
 
 
-def _solid_intervals(n):
-    for k in range(1, n + 1):
-        for start in range(1, n - k + 2):
-            yield tuple(range(start, start + k))
-
-
-def fekete_families(n):
-    """The two n^2-element solid-minor criteria.
-
-    family1: solid minors whose row or column interval contains 1.
-    family2: solid minors with min(rows) + max(cols) in {n, n+1}.
-    """
-    family1, family2 = [], []
-    for rows in _solid_intervals(n):
-        for cols in _solid_intervals(n):
-            if len(rows) != len(cols):
-                continue
-            if 1 in rows or 1 in cols:
-                family1.append((rows, cols))
-            if rows[0] + cols[-1] in (n, n + 1):
-                family2.append((rows, cols))
-    return family1, family2
-
-
 def fekete_scheme(n, variant):
     """Schemes whose chamber families are the two interval criteria.
 
@@ -219,11 +196,25 @@ def fekete_scheme(n, variant):
     return FactorizationScheme.make(n, symbols)
 
 
+@lru_cache(maxsize=64)
+def _fekete_family(n, variant):
+    """fekete_scheme(n, variant)'s chamber family by size, rows, cols."""
+    family = chamber_minor_family(fekete_scheme(n, variant))
+    return tuple(sorted(family, key=lambda pair: (len(pair[0]), pair)))
+
+
+def fekete_families(n):
+    """The two n^2-element solid-minor criteria, the Fekete schemes'
+    chamber families: family1, the solid minors whose row or column
+    interval contains 1; family2, those with min(rows) + max(cols) in
+    {n, n+1}."""
+    return list(_fekete_family(n, 1)), list(_fekete_family(n, 2))
+
+
 def fekete_criterion(x, variant):
     if variant not in (1, 2):
         raise ValidationError(f"variant must be 1 or 2, got {variant!r}")
-    family1, family2 = fekete_families(x.n)
-    return _family_report(x, family1 if variant == 1 else family2)
+    return _family_report(x, _fekete_family(x.n, variant))
 
 
 # ---------------------------------------------------------------------------

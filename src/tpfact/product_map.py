@@ -4,8 +4,7 @@ An e<i> symbol with parameter t contributes I + t E_{i,i+1}, an f<i>
 symbol I + t E_{i+1,i}, and an h<j> symbol the diagonal matrix that
 multiplies the jth coordinate by t (so its parameter must be nonzero).
 The product map sends a parameter vector to the product of these
-factors in word order.  It is computed as path sums in the scheme's
-planar network, which equal the entries of that product.
+factors in word order, multiplied out in place from the identity.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ def product(scheme, values):
     """Multiply out the scheme at the given parameter vector.
 
     Checks the parameter count, validates the scheme and rejects a zero
-    bullet parameter, then reads the product off the scheme's planar
-    network.
+    bullet parameter, then multiplies out the elementary factors.
     """
     values = parameters(values, scheme.length)
     scheme.validate()

@@ -19,7 +19,7 @@ def _line_states(n, word):
     the F-crossings: E-lines start as 1..n at the left border, F-lines
     end as 1..n at the right border.
     """
-    def sweep(family, symbols):
+    def labels(family, symbols):
         state = list(range(1, n + 1))
         states = [tuple(state)]
         for kind, i in symbols:
@@ -27,7 +27,7 @@ def _line_states(n, word):
                 state[i - 1], state[i] = state[i], state[i - 1]
             states.append(tuple(state))
         return states
-    return sweep(E, word), sweep(F, reversed(word))[::-1]
+    return labels(E, word), labels(F, reversed(word))[::-1]
 
 
 def render_ascii(scheme):
@@ -41,12 +41,13 @@ def render_ascii(scheme):
         else:
             mark = "X" if sym.kind == E else "x"
             strip_rows[sym.index][p] = mark.center(_CELL)
+    pad = len(str(n)) + 1
     lines = []
     for j in range(n, 0, -1):
-        lines.append(f"{j} " + "".join(wire_rows[j]))
+        lines.append(f"{j:<{pad}}" + "".join(wire_rows[j]))
         if j > 1:
-            lines.append("  " + "".join(strip_rows[j - 1]))
-    lines.append("  " + "".join(s.token.ljust(_CELL) for s in scheme.word))
+            lines.append(" " * pad + "".join(strip_rows[j - 1]))
+    lines.append(" " * pad + "".join(s.token.ljust(_CELL) for s in scheme.word))
     return "\n".join(lines)
 
 

@@ -15,8 +15,11 @@ faster or leaner routines against them.
   chamber minor of the twist as the inverse of a monomial in the
   parameters.
 - Path polynomials: each minor of a scheme's product as the polynomial
-  of vertex-disjoint path families in its network, read off the
-  library's own sweep with Polynomial weights.
+  of vertex-disjoint path families in its network (Lindstrom's lemma),
+  read off a token-set sweep along the wires with Polynomial weights.
+  The library multiplies out the elementary factors instead.
+- The Fekete families as lists of solid intervals, where the library
+  reads them off the chamber families of the two Fekete schemes.
 - Total nonnegativity and total positivity by definition, every minor
   of every order, and the w-chamber sets by filtering every subset.
 - Minors by Bareiss's fraction-free elimination, the recurrence the
@@ -43,7 +46,7 @@ from tpfact.errors import (ArityMismatch, BadToken, DecompositionFailure,
 from tpfact.identities import (ExchangeCertificate, dodgson_terms,
                                plucker_terms)
 from tpfact.linalg import Matrix, check_index_pair, det, minor
-from tpfact.networks import parameters, sweep
+from tpfact.networks import parameters
 from tpfact.permutations import Permutation, signed_representative
 from tpfact.schemes import (BRAID3, E, F, H, MIXED2, TRIVIAL2,
                             FactorizationScheme, apply_move,
@@ -575,6 +578,40 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def sweep(word, sources, one, scale):
+    """Token-set sweep of the network of word, starting at sources.
+
+    Returns a dict mapping each reachable set of sink wires to the total
+    weight of the vertex-disjoint path families that end there.  The
+    empty family weighs `one`; `scale(weight, k)` multiplies a weight by
+    the weight of the edge of symbol k (1-based), so the weights may be
+    polynomials or numbers.
+
+    A diagonal may be taken only when its target wire is free, which is
+    exactly the vertex-disjointness constraint, and token order is
+    preserved, so every family is counted once with coefficient 1.
+    """
+    states = {frozenset(sources): one}
+    for k, sym in enumerate(word, start=1):
+        if sym.kind == H:
+            states = {state: scale(w, k) if sym.index in state else w
+                      for state, w in states.items()}
+            continue
+        if sym.kind == E:
+            src, dst = sym.index, sym.index + 1
+        else:
+            src, dst = sym.index + 1, sym.index
+        nxt = {}
+        for state, w in states.items():
+            nxt[state] = nxt[state] + w if state in nxt else w
+            if src in state and dst not in state:
+                moved = state - {src} | {dst}
+                w = scale(w, k)
+                nxt[moved] = nxt[moved] + w if moved in nxt else w
+        states = nxt
+    return states
+
+
 def symbolic_entry(scheme, i, j):
     """Entry (i, j) of the scheme's product as a path polynomial."""
     return symbolic_minor(scheme, (i,), (j,))
@@ -583,7 +620,7 @@ def symbolic_entry(scheme, i, j):
 def symbolic_minor(scheme, row_set, col_set):
     """Minor of the scheme's product as the polynomial of the
     vertex-disjoint path families in its network (Lindstrom's lemma):
-    the library's one sweep, with Polynomial weights."""
+    the token-set sweep, with Polynomial weights."""
     rows, cols = check_index_pair(row_set, col_set, scheme.n)
     one = Polynomial.constant(scheme.length, 1)
     ends = sweep(scheme.word, rows, one, Polynomial.times_variable)
@@ -686,6 +723,31 @@ def reference_w_chamber_sets(w):
                    for j in subset for i in range(1, j) if w(i) < w(j)):
                 out.append(subset)
     return out
+
+
+def _solid_intervals(n):
+    for k in range(1, n + 1):
+        for start in range(1, n - k + 2):
+            yield tuple(range(start, start + k))
+
+
+def reference_fekete_families(n):
+    """The two n^2-element solid-minor criteria, by their definition.
+
+    family1: solid minors whose row or column interval contains 1.
+    family2: solid minors with min(rows) + max(cols) in {n, n+1}.
+    Both are listed by size, then rows, then columns.
+    """
+    family1, family2 = [], []
+    for rows in _solid_intervals(n):
+        for cols in _solid_intervals(n):
+            if len(rows) != len(cols):
+                continue
+            if 1 in rows or 1 in cols:
+                family1.append((rows, cols))
+            if rows[0] + cols[-1] in (n, n + 1):
+                family2.append((rows, cols))
+    return family1, family2
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import random
 from fractions import Fraction
 
 from reference import (Polynomial, chamber_values_from_parameters,
-                       elementary_product, reduced_words, reference_is_tnn,
+                       elementary_product, reduced_words,
+                       reference_fekete_families, reference_is_tnn,
                        reference_is_tp, symbolic_entry, symbolic_minor)
 from tpfact.bruhat import bruhat_cell_of, double_cell_of, in_bruhat_cell
 from tpfact.linalg import Matrix, det, minor
@@ -277,10 +278,12 @@ def test_criterion_07_gl3_catalog():
 def test_criterion_08_fekete_families():
     def body():
         for n in range(2, 6):
-            fam1, fam2 = fekete_families(n)
+            fam1, fam2 = reference_fekete_families(n)
             assert len(set(fam1)) == n * n
             assert len(set(fam2)) == n * n
             assert set(chamber_minor_family(fekete_scheme(n, 1))) == set(fam1)
+            assert set(chamber_minor_family(fekete_scheme(n, 2))) == set(fam2)
+            assert fekete_families(n) == (fam1, fam2)
         rng = random.Random(108)
         w0 = Permutation.longest_element(4)
         sch = seed_scheme(w0, w0)

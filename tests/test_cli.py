@@ -420,6 +420,34 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_every_public_definition_is_exported_or_used():
+    # a public module-level function or class must be in tpfact.__all__
+    # or be read somewhere in the package outside its own definition
+    defined, read = {}, set()
+    for name in sorted(os.listdir(os.path.join(SRC, "tpfact"))):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, "tpfact", name)) as f:
+            tree = ast.parse(f.read())
+        for stmt in tree.body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                if not owner.startswith("_"):
+                    defined[owner] = f"{name}:{stmt.lineno}"
+            for node in ast.walk(stmt):
+                found = (node.id if isinstance(node, ast.Name)
+                         else node.attr if isinstance(node, ast.Attribute)
+                         else node.name if isinstance(node, ast.alias)
+                         else None)
+                if found is not None and found != owner:
+                    read.add(found)
+    assert len(defined) > 50
+    dead = [f"{where} {name}" for name, where in sorted(defined.items())
+            if name not in tpfact.__all__ and name not in read]
+    assert dead == []
+
+
 def test_unknown_package_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         tpfact.no_such_name

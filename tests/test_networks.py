@@ -6,12 +6,14 @@ import pytest
 
 from reference import (Polynomial, elementary_product, symbolic_entry,
                        symbolic_minor)
-from tpfact.errors import ArityMismatch, IndexOutOfRange, ValidationError
+from tpfact.errors import (ArityMismatch, BadToken, IndexOutOfRange,
+                           ValidationError, ZeroDiagonal)
 from tpfact.linalg import minor
 from tpfact.networks import build_network, evaluate_network, parameters
-from tpfact.permutations import Permutation
+from tpfact.permutations import Permutation, all_permutations
 from tpfact.product_map import product
-from tpfact.schemes import parse_scheme, seed_scheme
+from tpfact.schemes import (FactorizationScheme, SchemeSymbol, apply_move,
+                            available_moves, parse_scheme, seed_scheme)
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
 
@@ -136,6 +138,44 @@ def test_network_evaluation_equals_product():
             assert product(sch, vals) == reference
 
 
+def signed_vals(sch, rng):
+    # crossing parameters may be negative or zero; bullets stay nonzero
+    return [Fraction(rng.randint(-4, 4) if sym.kind != "H"
+                     else rng.choice((-9, -2, 1, 5)), rng.randint(1, 3))
+            for sym in sch.word]
+
+
+def test_product_matches_both_oracles_on_moved_schemes():
+    # product multiplies out the elementary factors and shares no code
+    # with the path polynomials: compare it with the ordered product of
+    # dense matrices on every GL_3 cell and 40 seeded GL_4 cells, and
+    # with the token-set path sums on GL_3
+    rng = random.Random(24)
+    cells = [(u, v) for u in all_permutations(3) for v in all_permutations(3)]
+    gl4 = [(u, v) for u in all_permutations(4) for v in all_permutations(4)]
+    cells += rng.sample(gl4, 40)
+    signs = set()
+    for u, v in cells:
+        sch = seed_scheme(u, v)
+        for _ in range(4):
+            sch = apply_move(sch, rng.choice(available_moves(sch)))
+        vals = signed_vals(sch, rng)
+        signs.update((t > 0) - (t < 0)
+                     for sym, t in zip(sch.word, vals) if sym.kind != "H")
+        x = product(sch, vals)
+        assert evaluate_network(build_network(sch), vals) == x, sch
+        assert elementary_product(sch, vals) == x, sch
+        if sch.n == 3:
+            for i in range(1, 4):
+                for j in range(1, 4):
+                    entry = symbolic_entry(sch, i, j).evaluate(vals)
+                    assert entry == x.entry(i, j), (sch, i, j)
+        k = rng.choice([k for k, s in enumerate(sch.word) if s.kind == "H"])
+        with pytest.raises(ZeroDiagonal):
+            product(sch, vals[:k] + [Fraction(0)] + vals[k + 1:])
+    assert signs == {-1, 0, 1}
+
+
 def test_symbolic_minor_equals_determinant_minor():
     rng = random.Random(7)
     for text in ("h1 f1 h2 e1", "e1 e2 e1 f1 f2 f1 h1 h2 h3", RUNNING):
@@ -188,6 +228,16 @@ def test_network_rejects_wrong_arity():
     net = build_network(sch)
     with pytest.raises(ArityMismatch):
         evaluate_network(net, [Fraction(1)])
+
+
+@pytest.mark.parametrize("level", [0, 2])
+def test_network_rejects_a_level_outside_the_strip(level):
+    # a raw scheme skips validation; its e-level must not wrap around
+    # to another column or fall off the matrix
+    raw = FactorizationScheme(2, (SchemeSymbol("H", 1), SchemeSymbol("E", level),
+                                  SchemeSymbol("H", 2)))
+    with pytest.raises(BadToken, match="level outside"):
+        evaluate_network(build_network(raw), [1, 1, 1])
 
 
 @pytest.mark.parametrize("bad", [0.5, True, "1", None])

@@ -7,8 +7,9 @@ from math import comb
 
 import pytest
 
-from reference import (elementary_product, reference_is_tnn,
-                       reference_is_tp, reference_w_chamber_sets)
+from reference import (elementary_product, reference_fekete_families,
+                       reference_is_tnn, reference_is_tp,
+                       reference_w_chamber_sets)
 from tpfact import positivity
 from tpfact.bruhat import double_cell_of
 from tpfact.errors import TooMuchWork, ValidationError
@@ -297,11 +298,18 @@ def test_fekete_families_n3_values():
 
 
 def test_fekete_scheme_families_match():
+    # the schemes' chamber families against the solid-interval definition
     for n in (2, 3, 4):
         for variant in (1, 2):
             sch = fekete_scheme(n, variant)
             fam = set(chamber_minor_family(sch))
-            assert fam == set(fekete_families(n)[variant - 1]), (n, variant)
+            want = reference_fekete_families(n)[variant - 1]
+            assert fam == set(want), (n, variant)
+
+
+def test_fekete_families_equal_the_definition_in_order():
+    for n in range(1, 11):
+        assert fekete_families(n) == reference_fekete_families(n), n
 
 
 def test_fekete_criterion_matches_is_tp():

@@ -1,6 +1,6 @@
 from tpfact.permutations import Permutation
 from tpfact.render import isotopy_dot, render_ascii, render_svg
-from tpfact.schemes import enumerate_isotopy_types, parse_scheme
+from tpfact.schemes import enumerate_isotopy_types, parse_scheme, seed_scheme
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
 
@@ -27,6 +27,24 @@ def test_ascii_marks_sit_on_their_rows():
     assert lines[0].count("*") == 1  # h2 on wire 2
     assert lines[2].count("*") == 1  # h1 on wire 1
     assert lines[1].count("x") == 1 and lines[1].count("X") == 1
+
+
+def test_ascii_aligns_two_digit_wires():
+    # n = 11: every wire, strip and token row starts its drawing at the
+    # same column, the width of the widest label plus one
+    u = Permutation((1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10))
+    sch = seed_scheme(u, Permutation.identity(11))
+    lines = render_ascii(sch).splitlines()
+    assert len(lines) == 2 * 11
+    width = 3 + 4 * sch.length
+    assert [len(line) for line in lines] == [width] * len(lines)
+    for k, line in enumerate(lines[:-1]):
+        if k % 2 == 0:
+            assert line[:3] == f"{11 - k // 2:<3}" and line[3] == "-", line
+        else:
+            assert line[:3] == "   ", line
+    assert lines[-1][:3] == "   " and lines[-1][3:].split() == str(sch).split()
+    assert lines[1][3:].strip() == "x"  # f10, between wires 11 and 10
 
 
 def test_svg_structure():
