@@ -7,19 +7,22 @@ all nonzero while the minors with rows w([1,i-1] u {j}) and columns
 upper and lower decompositions and inverts the cell representative,
 which is how the second coordinate of a double cell is read off.
 
-Classification tries candidate permutations until one fits.  Each try
-checks invertibility, reads the nonzero family off one elimination (its
-minors are, up to sign, the leading principal minors of rows w(1), ...,
-w(n-1) in that order) and takes one `minor` per vanishing condition;
-`det` caches the determinant on the matrix, so the invertibility check
-costs one elimination per classified matrix.
+Classification generates S_n in lexicographic order until a candidate
+fits, so its cost follows the answer's rank and S_n is never listed.
+Each try checks invertibility, reads the nonzero family off one
+elimination (its minors are, up to sign, the leading principal minors
+of rows w(1), ..., w(n-1) in that order) and takes one `minor` per
+vanishing condition; `det` caches the determinant on the matrix, so the
+invertibility check costs one elimination per classified matrix.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import Singular
 from .linalg import _first_zero_leading_minor, det, minor
-from .permutations import all_permutations
+from .permutations import Permutation
 
 
 def in_bruhat_cell(x, w):
@@ -41,8 +44,8 @@ def in_bruhat_cell(x, w):
 
 
 def bruhat_cell_of(x):
-    """The unique w with x in its upper Bruhat cell, by exhaustive search."""
-    for w in all_permutations(x.n):
+    """The unique w with x in its upper Bruhat cell, tried in lex order."""
+    for w in map(Permutation, itertools.permutations(range(1, x.n + 1))):
         if in_bruhat_cell(x, w):
             return w
     raise Singular("no Bruhat cell matched; matrix must be invertible")

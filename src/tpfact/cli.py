@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 invalid input, 3 arithmetic precondition
-failure (singular matrix, wrong cell, vanishing minor), 4 I/O error.
+Exit codes: 0 success, 2 invalid input (`ValidationError`, malformed
+JSON included), 3 arithmetic precondition failure (`PreconditionError`:
+singular matrix, wrong cell, vanishing minor), 4 I/O error (`OSError`).
 A check that runs to completion exits 0 even when the verdict is
 negative; the verdict lives in the JSON report.
 
@@ -48,7 +49,7 @@ def _load_matrix(path):
 
 
 def _load_params(path):
-    data = parse_json(_read_text(path))
+    data = parse_json(_read_text(path), "parameter JSON")
     if not isinstance(data, dict) or not isinstance(data.get("t"), list):
         raise ValidationError('parameter file must be an object with a "t" list')
     return [scalar_from_str(item) for item in data["t"]]
@@ -265,9 +266,6 @@ def main(argv=None):
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

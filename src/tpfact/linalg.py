@@ -234,22 +234,21 @@ def matrix_from_json(data):
     return x
 
 
-def parse_json(text):
-    """json.loads, except that an integer literal over MAX_LITERAL_DIGITS
-    digits, or nesting deeper than the parser's recursion limit, raises
-    ValidationError."""
+def parse_json(text, what):
+    """json.loads, except that malformed text, an integer literal over
+    MAX_LITERAL_DIGITS digits, or nesting deeper than the parser's
+    recursion limit raises ValidationError; `what` names the text in
+    the first message, as in "bad matrix JSON: ..."."""
     def parse_int(literal):
         _check_digits(literal, "JSON integer")
         return int(literal)
     try:
         return json.loads(text, parse_int=parse_int)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"bad {what}: {exc}") from exc
     except RecursionError:
         raise ValidationError("JSON text nests too deeply") from None
 
 
 def matrix_from_json_text(text):
-    try:
-        data = parse_json(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad matrix JSON: {exc}") from exc
-    return matrix_from_json(data)
+    return matrix_from_json(parse_json(text, "matrix JSON"))

@@ -167,8 +167,3 @@ def signed_representative(w):
         rows[i][j] = s
     return Matrix(rows)
 
-
-def all_permutations(n):
-    """All of S_n, in lexicographic one-line order."""
-    from itertools import permutations as iperm
-    return [Permutation(p) for p in iperm(range(1, n + 1))]

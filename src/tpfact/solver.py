@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ZeroMinor
+from .errors import SizeMismatch, ZeroMinor
 from .linalg import minor
 from .schemes import E, H, build_arrangement
 from .twist import twist
@@ -54,6 +54,8 @@ def solve(scheme, x):
     parameters.  Every parameter is a ratio of products of those
     minors, so none comes out zero.
     """
+    if x.n != scheme.n:
+        raise SizeMismatch(f"matrix size {x.n} != scheme size {scheme.n}")
     u, v = scheme.cell_type
     xprime = twist(x, u, v)
     arrangement = build_arrangement(scheme)

@@ -3,6 +3,9 @@
 The library no longer carries these; the tests compare the library's
 faster or leaner routines against them.
 
+- All of S_n as a list, in lexicographic one-line order.  The library
+  generates the candidates of a Bruhat classification one at a time
+  in that order; the tests loop over every cell of a small group.
 - Reduced-word enumeration and the left weak order on permutations.
 - Chamber sets read off the line labels at every word position, and the
   three local-move predicates tested one pair or triple at a time.
@@ -36,7 +39,7 @@ faster or leaner routines against them.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 from tpfact.bruhat import double_cell_of
 from tpfact.errors import (ArityMismatch, BadToken, DecompositionFailure,
@@ -60,7 +63,12 @@ class ZeroParameter(PreconditionError):
 
 
 # ---------------------------------------------------------------------------
-# reduced words
+# permutations and reduced words
+
+
+def all_permutations(n):
+    """All of S_n, in lexicographic one-line order."""
+    return [Permutation(p) for p in permutations(range(1, n + 1))]
 
 
 def right_descents(w):

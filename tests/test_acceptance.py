@@ -8,14 +8,15 @@ All arithmetic is exact; every comparison is exact equality.
 import random
 from fractions import Fraction
 
-from reference import (Polynomial, chamber_values_from_parameters,
+from reference import (Polynomial, all_permutations,
+                       chamber_values_from_parameters,
                        elementary_product, reduced_words,
                        reference_fekete_families, reference_is_tnn,
                        reference_is_tp, symbolic_entry, symbolic_minor)
 from tpfact.bruhat import bruhat_cell_of, double_cell_of, in_bruhat_cell
 from tpfact.linalg import Matrix, det, minor
 from tpfact.networks import build_network, evaluate_network
-from tpfact.permutations import Permutation, all_permutations
+from tpfact.permutations import Permutation
 from tpfact.positivity import (
     GL3_COMMON_MINORS,
     chamber_criterion,

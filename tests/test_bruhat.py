@@ -1,15 +1,18 @@
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from reference import in_G0, leading_principal_minors, reference_in_bruhat_cell
+from reference import (all_permutations, in_G0, leading_principal_minors,
+                       reference_in_bruhat_cell)
 from tpfact import bruhat, linalg
 from tpfact.bruhat import bruhat_cell_of, double_cell_of, in_bruhat_cell
 from tpfact.errors import Singular
 from tpfact.linalg import Matrix, _first_zero_leading_minor, det
-from tpfact.permutations import Permutation, all_permutations
+from tpfact.permutations import Permutation, signed_representative
 from tpfact.product_map import product
 from tpfact.schemes import H, seed_scheme
 
@@ -111,6 +114,51 @@ def test_in_bruhat_cell_matches_minor_by_minor_reference():
                     vanished.add((x.n, i))
     assert count == {3: 174 + 36, 4: 200 + 72}
     assert vanished == {(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)}
+
+
+def _gl4_seed_products():
+    rng = random.Random(25)
+    s4 = all_permutations(4)
+    for u, v in [(rng.choice(s4), rng.choice(s4)) for _ in range(6)]:
+        sch = seed_scheme(u, v)
+        yield product(sch, [Fraction(rng.randint(1, 9), rng.randint(1, 5))
+                            for _ in range(sch.length)])
+
+
+@pytest.mark.parametrize("x, calls", [
+    *((Matrix.identity(n), 1) for n in (1, 2, 3, 4, 5)),
+    *((signed_representative(Permutation.longest_element(n)), math.factorial(n))
+      for n in (2, 3, 4, 5)),
+    *((x, None) for x in _gl4_seed_products()),
+])
+def test_classification_tries_candidates_in_lexicographic_order(
+        x, calls, monkeypatch):
+    # the k-th permutation in lexicographic one-line order costs exactly
+    # k membership tests: the identity 1, w0 n!
+    tried = []
+
+    def counting(y, w):
+        tried.append(w)
+        return in_bruhat_cell(y, w)
+
+    monkeypatch.setattr(bruhat, "in_bruhat_cell", counting)
+    w = bruhat_cell_of(x)
+    assert in_bruhat_cell(x, w)
+    candidates = all_permutations(x.n)
+    assert tried == candidates[:candidates.index(w) + 1]
+    assert calls is None or len(tried) == calls
+
+
+def test_classifying_the_identity_builds_no_list_of_candidates():
+    # the identity is the first candidate: nothing of size n! is allocated
+    x = Matrix.identity(9)
+    tracemalloc.start()
+    try:
+        assert double_cell_of(x) == (Permutation.identity(9),) * 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_in_G0():

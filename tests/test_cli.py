@@ -1,6 +1,8 @@
 import ast
+import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from math import comb
@@ -26,6 +28,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def feed_stdin(monkeypatch, stdin):
+    """Serve stdin: None, raw text, or an object dumped as JSON."""
+    text = stdin if stdin is None or isinstance(stdin, str) else json.dumps(stdin)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text or ""))
 
 
 def test_product_and_factor_round_trip(tmp_path, capsys):
@@ -228,9 +236,7 @@ def test_exit_codes(tmp_path, capsys):
         "permutation-comma-digit-group", "fuzz-digit-group",
         "matrix-deep-nesting", "params-deep-nesting"])
 def test_malformed_input_exits_2(argv, stdin, capsys, monkeypatch):
-    import io
-    text = stdin if stdin is None or isinstance(stdin, str) else json.dumps(stdin)
-    monkeypatch.setattr("sys.stdin", io.StringIO(text or ""))
+    feed_stdin(monkeypatch, stdin)
     try:
         code, prefix = main(argv), "error:"
     except SystemExit as exc:  # argparse rejected an option
@@ -239,6 +245,37 @@ def test_malformed_input_exits_2(argv, stdin, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(prefix)
+
+
+GL2 = {"entries": [["5", "2"], ["2", "1"]]}
+
+
+@pytest.mark.parametrize("argv, stdin, message", [
+    (["cell", "--matrix", "-"], "[1,2", "bad matrix JSON: "),
+    (["product", "--scheme", "h1 f1 h2 e1", "--params", "-"], '{"t": [1',
+     "bad parameter JSON: "),
+    (["factor", "--matrix", "-", "--scheme", "h1 f1 h2 e1 h3"], GL2,
+     "matrix size 2 != scheme size 3\n"),
+    (["check", "--matrix", "-", "--mode", "chamber", "--scheme", "h1 h2 h3"],
+     GL2, "matrix size 2 != scheme size 3\n"),
+    (["check", "--matrix", "-", "--mode", "chamberset", "--u", "321",
+      "--v", "321"], GL2, "matrix and permutations must share one size\n"),
+    (["twist", "--matrix", "-", "--u", "21"], GL2,
+     "provide both --u and --v or neither\n"),
+    (["check", "--matrix", "-", "--mode", "chamberset", "--v", "21"], GL2,
+     "provide both --u and --v or neither\n"),
+    (["render", "--scheme", ""], None, "empty scheme\n"),
+    (["factor", "--matrix", "-", "--scheme", " "], GL2, "empty scheme\n"),
+], ids=["matrix-json", "params-json", "factor-size", "chamber-size",
+        "chamberset-size", "twist-u-only", "chamberset-v-only",
+        "render-empty-scheme", "factor-blank-scheme"])
+def test_refusal_exits_2_with_its_message(argv, stdin, message, capsys,
+                                          monkeypatch):
+    feed_stdin(monkeypatch, stdin)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -303,11 +340,27 @@ LIBRARY = {f"tpfact.{name}" for name in (
     "positivity", "product_map", "render", "schemes", "solver", "twist")}
 
 
-def fresh_python(*argv, stdin="", timeout=60):
+def fresh_python(*argv, stdin="", timeout=60, preexec_fn=None):
     """A fresh interpreter, so that modules loaded by pytest do not count."""
     return subprocess.run([sys.executable, *argv], input=stdin,
                           env=dict(os.environ, PYTHONPATH=SRC),
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=preexec_fn)
+
+
+MEMORY_CAP = 1 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def capped_python(*argv, stdin="", timeout=10):
+    """fresh_python with its address space capped at 1 GiB, so that a
+    runaway allocation ends the child in a MemoryError, and a runaway
+    loop in the timeout, instead of starving the machine."""
+    return fresh_python(*argv, stdin=stdin, timeout=timeout,
+                        preexec_fn=_cap_address_space)
 
 
 def loaded(statement):
@@ -507,3 +560,23 @@ def test_check_all_on_a_tnn_16x16_matrix_finishes_in_seconds(tmp_path):
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == {"mode": "all", "verdict": True,
                                       "witness": None}
+
+
+N16 = 16
+IDENTITY16 = [[str(int(i == j)) for j in range(N16)] for i in range(N16)]
+E16 = ",".join(map(str, range(1, N16 + 1)))
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["cell"], {"u": E16, "v": E16}),
+    (["twist"], {"n": N16, "entries": IDENTITY16}),
+    (["check", "--mode", "chamberset"],
+     {"mode": "chamberset", "verdict": True, "witness": None}),
+], ids=["cell", "twist", "chamberset"])
+def test_classifying_a_16x16_identity_stays_small(tmp_path, argv, report):
+    # the identity is the first of 16! candidates; listing S_16 first
+    # would need terabytes
+    path = write_matrix(tmp_path, "id16.json", N16, IDENTITY16)
+    out = capped_python("-m", "tpfact.cli", *argv, "--matrix", path)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == report

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import reference_exchange_certificate
+from reference import all_permutations, reference_exchange_certificate
 from tpfact.errors import (NotAnExchange, PreconditionViolated, TooMuchWork,
                            ValidationError)
 from tpfact.identities import (
@@ -17,7 +17,7 @@ from tpfact.identities import (
     plucker_terms,
 )
 from tpfact.linalg import Matrix, minor
-from tpfact.permutations import Permutation, all_permutations
+from tpfact.permutations import Permutation
 from tpfact.schemes import (Move, apply_move, available_moves,
                             enumerate_isotopy_types, parse_scheme, seed_scheme)
 

@@ -181,9 +181,9 @@ def test_literals_are_bounded_and_results_are_not():
     for text in ["9" * 4301, "1/" + "3" * 4301, " -1." + "5" * 4300]:
         with pytest.raises(ValidationError, match="has more than 4300 digits"):
             scalar_from_str(text)
-    assert parse_json('{"n": -%s}' % ("1" * 4300))["n"] < 0
+    assert parse_json('{"n": -%s}' % ("1" * 4300), "JSON")["n"] < 0
     with pytest.raises(ValidationError, match="JSON integer '1111"):
-        parse_json('{"n": %s}' % ("1" * 4301))
+        parse_json('{"n": %s}' % ("1" * 4301), "JSON")
     # a 6,001-digit numerator, printed in full
     assert scalar_to_str(Fraction(-10 ** 6000 - 1, 3)) == "-1" + "0" * 5999 + "1/3"
 

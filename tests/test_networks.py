@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from reference import (Polynomial, elementary_product, symbolic_entry,
-                       symbolic_minor)
+from reference import (Polynomial, all_permutations, elementary_product,
+                       symbolic_entry, symbolic_minor)
 from tpfact.errors import (ArityMismatch, BadToken, IndexOutOfRange,
                            ValidationError, ZeroDiagonal)
 from tpfact.linalg import minor
 from tpfact.networks import build_network, evaluate_network, parameters
-from tpfact.permutations import Permutation, all_permutations
+from tpfact.permutations import Permutation
 from tpfact.product_map import product
 from tpfact.schemes import (FactorizationScheme, SchemeSymbol, apply_move,
                             available_moves, parse_scheme, seed_scheme)

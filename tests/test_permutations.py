@@ -3,12 +3,11 @@ import re
 
 import pytest
 
-from reference import reduced_words, weak_order_leq
+from reference import all_permutations, reduced_words, weak_order_leq
 from tpfact.errors import IndexOutOfRange, ValidationError
 from tpfact.linalg import Matrix, det
 from tpfact.permutations import (
     Permutation,
-    all_permutations,
     is_reduced,
     signed_representative,
 )
@@ -32,6 +31,12 @@ def test_composition_convention():
     for i in range(1, 4):
         assert prod(i) == w1(w2(i))
     assert prod.oneline == (2, 3, 1)
+
+
+def test_composition_refuses_two_sizes():
+    with pytest.raises(ValidationError, match="of different sizes") as info:
+        Permutation((2, 1)) * Permutation((1, 3, 2))
+    assert type(info.value) is ValidationError
 
 
 def test_simple_swaps_positions():

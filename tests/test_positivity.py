@@ -7,14 +7,14 @@ from math import comb
 
 import pytest
 
-from reference import (elementary_product, reference_fekete_families,
-                       reference_is_tnn, reference_is_tp,
-                       reference_w_chamber_sets)
+from reference import (all_permutations, elementary_product,
+                       reference_fekete_families, reference_is_tnn,
+                       reference_is_tp, reference_w_chamber_sets)
 from tpfact import positivity
 from tpfact.bruhat import double_cell_of
-from tpfact.errors import TooMuchWork, ValidationError
+from tpfact.errors import SizeMismatch, TooMuchWork, ValidationError
 from tpfact.linalg import Matrix, det, minor
-from tpfact.permutations import Permutation, all_permutations
+from tpfact.permutations import Permutation
 from tpfact.positivity import (
     GL3_COMMON_MINORS,
     MAX_CHAMBER_SET_MINORS,
@@ -31,7 +31,7 @@ from tpfact.positivity import (
     w_chamber_sets,
 )
 from tpfact.product_map import product
-from tpfact.schemes import chamber_minor_family, seed_scheme
+from tpfact.schemes import chamber_minor_family, parse_scheme, seed_scheme
 
 
 def mat(rows):
@@ -233,8 +233,21 @@ def test_chamber_set_criterion_identity_cell():
     assert report.witness is not None
 
 
+@pytest.mark.parametrize("u, v", [("321", "321"), ("21", "321")],
+                         ids=["cell-larger", "sides-differ"])
+def test_chamber_set_criterion_refuses_a_size_mismatch(u, v):
+    x = Matrix([[2, 1], [1, 1]])
+    with pytest.raises(SizeMismatch, match="must share one size"):
+        chamber_set_criterion(Permutation.from_string(u),
+                              Permutation.from_string(v), x)
+
+
+def test_chamber_criterion_refuses_a_size_mismatch():
+    with pytest.raises(SizeMismatch, match="matrix size 2 != scheme size 3"):
+        chamber_criterion(parse_scheme("h1 h2 h3"), Matrix([[2, 1], [1, 1]]))
+
+
 def test_chamber_criterion_running_gl2():
-    from tpfact.schemes import parse_scheme
     sch = parse_scheme("h1 f1 h2 e1")
     good = product(sch, [Fraction(1), Fraction(2), Fraction(3), Fraction(4)])
     assert chamber_criterion(sch, good).verdict

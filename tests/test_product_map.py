@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from reference import elementary, reference_commute_h
+from reference import all_permutations, elementary, reference_commute_h
 from tpfact.errors import (ArityMismatch, BadToken, NotReducedE, NotReducedF,
                            PreconditionError, ValidationError, ZeroDiagonal)
 from tpfact.linalg import Matrix
-from tpfact.permutations import all_permutations
 from tpfact.product_map import commute_h, product
 from tpfact.schemes import (FactorizationScheme, SchemeSymbol, apply_move,
                             available_moves, parse_scheme, seed_scheme)

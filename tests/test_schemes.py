@@ -5,7 +5,7 @@ import random
 import pytest
 
 import reference
-from reference import reduced_words
+from reference import all_permutations, reduced_words
 from tpfact import schemes
 from tpfact.errors import (
     BadHPart,
@@ -16,7 +16,7 @@ from tpfact.errors import (
     SizeMismatch,
     TooMuchWork,
 )
-from tpfact.permutations import Permutation, all_permutations
+from tpfact.permutations import Permutation
 from tpfact.render import _line_states
 from tpfact.schemes import (
     BRAID3,
@@ -136,6 +136,12 @@ def test_parse_and_str_round_trip():
     assert sch.word[12] == SchemeSymbol(F, 1)
 
 
+@pytest.mark.parametrize("text", ["", " \t\n"], ids=["empty", "blank"])
+def test_parse_refuses_an_empty_scheme(text):
+    with pytest.raises(BadToken, match="empty scheme"):
+        parse_scheme(text)
+
+
 def test_running_example_type():
     sch = parse_scheme(RUNNING)
     assert str(sch.u) == "4312"
@@ -147,6 +153,8 @@ def test_running_example_type():
 def test_h_positions():
     sch = parse_scheme(RUNNING)
     assert [sch.h_position(j) for j in (1, 2, 3, 4)] == [8, 12, 3, 11]
+    with pytest.raises(BadHPart, match="no h5 in scheme"):
+        sch.h_position(5)
 
 
 def test_length_formula():
@@ -280,6 +288,12 @@ def test_trivial2_rejects_close_indices():
         apply_move(parse_scheme("e1 f1 h1 h2"), Move("trivial2", 1))
     far = parse_scheme("h1 h2 h3 h4 e1 e3")
     assert str(apply_move(far, Move("trivial2", 5))) == "h1 h2 h3 h4 e3 e1"
+
+
+def test_apply_move_refuses_an_unknown_kind():
+    sch = parse_scheme("e1 f2 h1 h2 h3")
+    with pytest.raises(MoveNotApplicable, match="unknown move kind 'swap'"):
+        apply_move(sch, Move("swap", 1))
 
 
 def test_braid3_move():

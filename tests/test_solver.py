@@ -6,6 +6,7 @@ import pytest
 import tpfact.solver
 from reference import (
     ZeroParameter,
+    all_permutations,
     big_chamber_monomial,
     big_chambers,
     chamber_values_from_parameters,
@@ -13,10 +14,10 @@ from reference import (
     reference_solve,
 )
 from tpfact.bruhat import double_cell_of
-from tpfact.errors import (ArityMismatch, DecompositionFailure, WrongCell,
-                           ZeroMinor)
+from tpfact.errors import (ArityMismatch, DecompositionFailure, SizeMismatch,
+                           WrongCell, ZeroMinor)
 from tpfact.linalg import Matrix, det, minor
-from tpfact.permutations import Permutation, all_permutations
+from tpfact.permutations import Permutation
 from tpfact.product_map import product
 from tpfact.schemes import (
     apply_move,
@@ -168,6 +169,13 @@ def test_solve_rejects_wrong_cell():
     from tpfact.linalg import Matrix
     with pytest.raises(WrongCell):
         solve(sch, Matrix.identity(2))
+
+
+def test_solve_refuses_a_matrix_of_another_size():
+    # the scheme's size is checked first, before the twist compares the
+    # matrix with the scheme's permutations
+    with pytest.raises(SizeMismatch, match=r"^matrix size 2 != scheme size 3$"):
+        solve(parse_scheme("h1 f1 h2 e1 h3"), Matrix.identity(2))
 
 
 def test_solve_boundary_minor_vanishes():

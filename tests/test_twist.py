@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from reference import (alternating_diagonal, diagonal_matrix,
-                       leading_principal_minors, reference_gaussian_factors,
-                       reference_inverse, reference_twist,
-                       reference_twist_formula)
+from reference import (all_permutations, alternating_diagonal,
+                       diagonal_matrix, leading_principal_minors,
+                       reference_gaussian_factors, reference_inverse,
+                       reference_twist, reference_twist_formula)
 from tpfact.bruhat import double_cell_of
 from tpfact.errors import (DecompositionFailure, PreconditionError,
                            SizeMismatch, WrongCell)
 from tpfact.linalg import Matrix, det, minor
-from tpfact.permutations import Permutation, all_permutations
+from tpfact.permutations import Permutation
 from tpfact.positivity import is_tnn
 from tpfact.product_map import product
 from tpfact.schemes import parse_scheme, seed_scheme
