@@ -12,8 +12,12 @@ deleting-derivations algorithm, in O(n^4) exact operations: x is TNN
 iff that matrix is nonnegative and its zeros form a Cauchon diagram,
 and TP iff it is positive (Goodearl-Launois-Lenagan, Adv. Math. 226,
 2011; Launois-Lenagan, Found. Comput. Math. 14, 2014).  This holds for
-singular x too.  first_negative_minor is the witness search: it scans
-the C(2n, n) - 1 minors by order, in time exponential in n.
+singular x too.  A negative entry of x, or a pivot that fails when the
+pass reaches it, ends the test early.  first_negative_minor is the
+witness search: up to n = 8 it scans the C(2n, n) - 1 minors by order,
+and past that it deletes rows and columns greedily, in O(n^5) exact
+operations, down to a negative square minor whose proper minors are all
+>= 0.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 from .errors import SizeMismatch, TooMuchWork, ValidationError
-from .linalg import minor, scalar_to_str
+from .linalg import Matrix, minor, scalar_to_str
 from .permutations import Permutation
 from .schemes import (E, F, H, FactorizationScheme, SchemeSymbol,
                       chamber_minor_family, enumerate_isotopy_types,
@@ -38,19 +43,23 @@ def _all_index_pairs(n):
                 yield rows, cols
 
 
-def _cauchon_matrix(x):
+def _cauchon_matrix(x, fails=None):
     """The deleting-derivations pass over x, as a list of rows.
 
     For (s, t) from (n, n) down in reverse lexicographic order, when the
     current entry a_st is nonzero, subtract a_it a_sj / a_st from every
     a_ij with i < s and j < t.  A pivot in the first row or the first
-    column has nothing above or left of it, so those are skipped.
+    column has nothing above or left of it, so those are skipped.  No
+    later step changes a_st, so when `fails(a_st)` holds for a pivot the
+    pass reaches, it stops there and returns None.
     """
     a = [list(row) for row in x.rows]
     for s in range(x.n - 1, 0, -1):
         pivot_row = a[s]
         for t in range(x.n - 1, 0, -1):
             pivot = pivot_row[t]
+            if fails and fails(pivot):
+                return None
             if not pivot:
                 continue
             for row in a[:s]:
@@ -63,10 +72,17 @@ def _cauchon_matrix(x):
 def is_tnn(x):
     """Totally nonnegative: every minor of every order is >= 0.
 
-    Decided from the Cauchon matrix: all of its entries are >= 0, and
-    each zero has only zeros to its left or only zeros above it.
+    False at once when an entry, a 1x1 minor, is negative.  Otherwise
+    decided from the Cauchon matrix: all of its entries are >= 0, and
+    each zero has only zeros to its left or only zeros above it.  The
+    early tests read signs off numerators, which is several times
+    faster than comparing Fractions.
     """
-    a = _cauchon_matrix(x)
+    if any(value.numerator < 0 for row in x.rows for value in row):
+        return False
+    a = _cauchon_matrix(x, lambda pivot: pivot.numerator < 0)
+    if a is None:
+        return False
     for i, row in enumerate(a):
         for j, value in enumerate(row):
             if value < 0:
@@ -79,13 +95,58 @@ def is_tnn(x):
 def is_tp(x):
     """Totally positive: every minor of every order is > 0.
 
-    Decided from the Cauchon matrix: all of its entries are > 0.
+    False at once when an entry is <= 0.  Otherwise decided from the
+    Cauchon matrix: all of its entries are > 0.
     """
-    return all(value > 0 for row in _cauchon_matrix(x) for value in row)
+    if any(value.numerator <= 0 for row in x.rows for value in row):
+        return False
+    a = _cauchon_matrix(x, lambda pivot: pivot.numerator <= 0)
+    return a is not None and all(value > 0 for row in a for value in row)
+
+
+def _minimal_negative_minor(x):
+    """(rows, cols, value) of a negative minor whose proper minors are
+    all >= 0, or None when x is TNN.
+
+    One pass over the rows, then the columns, drops each one whose
+    removal leaves a submatrix that is still not TNN (tested by is_tnn
+    with zero rows or columns padding it to a square, which adds only
+    zero minors).  A row or column kept once stays kept: its removal
+    leaves a TNN matrix, and so would its removal from any submatrix.
+    What is left loses TNN when any row or column goes, so it is square
+    and its one negative minor is its determinant.
+    """
+    def tnn(rows, cols):
+        size = max(len(rows), len(cols))
+        return is_tnn(Matrix(
+            [[x.rows[i][j] for j in cols] + [0] * (size - len(cols))
+             for i in rows] + [[0] * size] * (size - len(rows))))
+
+    rows = cols = range(x.n)
+    if tnn(rows, cols):
+        return None
+    for i in range(x.n):
+        fewer = [r for r in rows if r != i]
+        if not tnn(fewer, cols):
+            rows = fewer
+    for j in range(x.n):
+        fewer = [c for c in cols if c != j]
+        if not tnn(rows, fewer):
+            cols = fewer
+    rows = tuple(r + 1 for r in rows)
+    cols = tuple(c + 1 for c in cols)
+    return rows, cols, minor(x, rows, cols)
 
 
 def first_negative_minor(x):
-    """(rows, cols, value) of the first negative minor, by order, or None."""
+    """(rows, cols, value) of a negative minor, or None when x is TNN.
+
+    While the C(2n, n) - 1 minors number at most MAX_CHAMBER_SET_MINORS
+    (n <= 8), the first negative one by order: size, then rows, then
+    columns.  Past that, the greedy witness of _minimal_negative_minor.
+    """
+    if comb(2 * x.n, x.n) - 1 > MAX_CHAMBER_SET_MINORS:
+        return _minimal_negative_minor(x)
     for rows, cols in _all_index_pairs(x.n):
         value = minor(x, rows, cols)
         if value < 0:
@@ -144,7 +205,8 @@ def w_chamber_sets(w):
 # `chamber_set_criterion` refuses a family of more minors than this.  It
 # covers the open cell up to n = 8, C(16, 8) - 1 = 12,869 minors, which
 # `tpfact check --mode chamberset --u 87654321 --v 87654321` evaluates in
-# 1.2 s wall (Python 3.11, 2-vCPU host); n = 9 has 48,619.
+# 1.2 s wall (Python 3.11, 2-vCPU host); n = 9 has 48,619.  It is also
+# the most minors `first_negative_minor` scans by order.
 MAX_CHAMBER_SET_MINORS = 2 * 10**4
 
 
@@ -166,9 +228,9 @@ def chamber_set_criterion(u, v, x):
         raise TooMuchWork(
             f"the chamber-set family of ({u}, {v}) has {count:,} minors, "
             f"more than MAX_CHAMBER_SET_MINORS = {MAX_CHAMBER_SET_MINORS:,}")
-    family = [(rows, cols)
+    family = ((rows, cols)
               for rows in row_sets for cols in col_sets
-              if len(rows) == len(cols)]
+              if len(rows) == len(cols))
     return _family_report(x, family)
 
 

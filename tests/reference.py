@@ -720,6 +720,18 @@ def reference_is_tp(x):
     return all(value > 0 for value in _all_minors(x))
 
 
+def reference_first_negative_minor(x):
+    """(rows, cols, value) of the first negative minor by size, then rows,
+    then columns, each by Bareiss elimination; None when x is TNN."""
+    for k in range(1, x.n + 1):
+        for rows in combinations(range(1, x.n + 1), k):
+            for cols in combinations(range(1, x.n + 1), k):
+                value = reference_minor(x, rows, cols)
+                if value < 0:
+                    return rows, cols, value
+    return None
+
+
 def reference_w_chamber_sets(w):
     """The w-chamber sets by filtering all 2^n subsets of [1, n]."""
     n = w.n

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import tpfact
 from tpfact import bruhat
 from tpfact.cli import main
-from tpfact.linalg import Matrix
+from tpfact.linalg import Matrix, det, minor
 from tpfact.positivity import first_negative_minor
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
@@ -560,6 +561,27 @@ def test_check_all_on_a_tnn_16x16_matrix_finishes_in_seconds(tmp_path):
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == {"mode": "all", "verdict": True,
                                       "witness": None}
+
+
+@pytest.mark.parametrize("n", [10, 16])
+def test_check_all_finds_a_late_witness_in_seconds(tmp_path, n):
+    # the Pascal matrix with a_nn lowered until det < 0: its first negative
+    # minor by order is 8x8 at n = 10, which the ordered scan reaches
+    # after more than 10^5 minors
+    pascal = [[comb(i + j, i) for j in range(n)] for i in range(n)]
+    while det(Matrix(pascal)) >= 0:
+        pascal[-1][-1] -= 1
+    path = write_matrix(tmp_path, "late.json", n,
+                        [[str(e) for e in row] for row in pascal])
+    out = fresh_python("-m", "tpfact.cli", "check", "--matrix", path,
+                       "--mode", "all", timeout=10)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["verdict"] is False
+    rows, cols = report["witness"]["rows"], report["witness"]["cols"]
+    assert len(rows) == len(cols)
+    value = Fraction(report["witness"]["value"])
+    assert value < 0 and value == minor(Matrix(pascal), rows, cols)
 
 
 N16 = 16

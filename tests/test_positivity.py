@@ -8,8 +8,9 @@ from math import comb
 import pytest
 
 from reference import (all_permutations, elementary_product,
-                       reference_fekete_families, reference_is_tnn,
-                       reference_is_tp, reference_w_chamber_sets)
+                       reference_fekete_families, reference_first_negative_minor,
+                       reference_is_tnn, reference_is_tp,
+                       reference_w_chamber_sets)
 from tpfact import positivity
 from tpfact.bruhat import double_cell_of
 from tpfact.errors import SizeMismatch, TooMuchWork, ValidationError
@@ -19,6 +20,7 @@ from tpfact.positivity import (
     GL3_COMMON_MINORS,
     MAX_CHAMBER_SET_MINORS,
     _cauchon_matrix,
+    _minimal_negative_minor,
     chamber_criterion,
     chamber_set_criterion,
     fekete_criterion,
@@ -119,13 +121,25 @@ def perturbed(x, rng):
     return Matrix(rows)
 
 
+def negated_on_the_border(x, rng):
+    """x with one entry of its first row or first column made negative;
+    the Cauchon pass never takes a pivot there."""
+    rows = [list(row) for row in x.rows]
+    k = rng.randrange(x.n)
+    i, j = rng.choice([(0, k), (k, 0)])
+    rows[i][j] = -rng.choice(
+        [Fraction(1, 100), Fraction(1, 4), Fraction(1), Fraction(3)])
+    return Matrix(rows)
+
+
 def test_is_tnn_and_is_tp_match_the_definitions():
     rng = random.Random(44)
     samples = list(all_small_matrices(2, (0, 1, 2)))
+    samples += all_small_matrices(2, (-1, 0, 1))
     samples += all_small_matrices(3, (0, 1))
     for n in (3, 4, 5):
         for x in tnn_products(n, 100, rng):
-            samples += [x, perturbed(x, rng)]
+            samples += [x, perturbed(x, rng), negated_on_the_border(x, rng)]
     singular_tnn = 0
     for x in samples:
         truth = reference_is_tnn(x)
@@ -135,6 +149,71 @@ def test_is_tnn_and_is_tp_match_the_definitions():
     assert singular_tnn >= 450
     assert {is_tp(x) for x in samples} == {is_tnn(x) for x in samples} == {
         True, False}
+
+
+def non_tnn_samples(n, rng):
+    """Perturbed nonnegative products, most of them singular, and random
+    matrices, each kept only when it is not TNN."""
+    samples = []
+    for x in tnn_products(n, 60, rng):
+        samples += [perturbed(x, rng), rand_matrix(n, rng)]
+    return [x for x in samples if not reference_is_tnn(x)]
+
+
+def proper_minors_are_nonnegative(x, rows, cols):
+    """Every minor of the submatrix on rows x cols but its determinant
+    is >= 0: each one lies in a submatrix with one row and one column
+    less."""
+    return all(reference_is_tnn(Matrix([[x.rows[i - 1][j - 1] for j in c]
+                                        for i in r]))
+               for r in itertools.combinations(rows, len(rows) - 1)
+               for c in itertools.combinations(cols, len(cols) - 1) if r)
+
+
+def test_greedy_witness_is_a_minimal_negative_minor():
+    rng = random.Random(46)
+    singular = 0
+    for n in (1, 2, 3, 4, 5):
+        for x in non_tnn_samples(n, rng):
+            rows, cols, value = _minimal_negative_minor(x)
+            assert len(rows) == len(cols), x
+            assert value < 0 and value == minor(x, rows, cols), x
+            assert proper_minors_are_nonnegative(x, rows, cols), x
+            singular += det(x) == 0
+        assert _minimal_negative_minor(tp_sample(n, rng)) is None
+    assert singular >= 20
+    assert _minimal_negative_minor(Matrix.identity(4)) is None
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_first_negative_minor_is_the_first_by_order(n):
+    rng = random.Random(47 + n)
+    count = 30 if n <= 5 else 3 if n <= 7 else 1
+    samples = [perturbed(tp_sample(n, rng), rng) for _ in range(count)]
+    # a_nn lowered by 2: the first negative minor comes late
+    pascal = [[comb(i + j, i) for j in range(n)] for i in range(n)]
+    pascal[-1][-1] -= 2
+    samples += [rand_matrix(n, rng), Matrix(pascal)]
+    if n <= 6:
+        # a TNN input makes both scans evaluate all C(2n, n) - 1 minors
+        samples.append(tp_sample(n, rng))
+    witnesses = [first_negative_minor(x) for x in samples]
+    assert witnesses == [reference_first_negative_minor(x) for x in samples]
+    assert len(set(witnesses)) > 2
+    assert (None in witnesses) == (n <= 6)
+
+
+def test_first_negative_minor_past_the_scan_bound_is_greedy():
+    # n = 9 has C(18, 9) - 1 = 48,619 minors, past the bound
+    assert comb(18, 9) - 1 > MAX_CHAMBER_SET_MINORS
+    rng = random.Random(48)
+    x = perturbed(tp_sample(9, rng), rng)
+    while is_tnn(x):
+        x = perturbed(tp_sample(9, rng), rng)
+    witness = first_negative_minor(x)
+    assert witness == _minimal_negative_minor(x)
+    assert witness[2] < 0
+    assert first_negative_minor(tp_sample(9, rng)) is None
 
 
 def cauchon_zeros(x):
