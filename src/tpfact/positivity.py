@@ -12,12 +12,12 @@ deleting-derivations algorithm, in O(n^4) exact operations: x is TNN
 iff that matrix is nonnegative and its zeros form a Cauchon diagram,
 and TP iff it is positive (Goodearl-Launois-Lenagan, Adv. Math. 226,
 2011; Launois-Lenagan, Found. Comput. Math. 14, 2014).  This holds for
-singular x too.  A negative entry of x, or a pivot that fails when the
-pass reaches it, ends the test early.  first_negative_minor is the
-witness search: up to n = 8 it scans the C(2n, n) - 1 minors by order,
-and past that it deletes rows and columns greedily, in O(n^5) exact
-operations, down to a negative square minor whose proper minors are all
->= 0.
+singular x too.  One pass, _cauchon_matrix, makes every sign test: it
+ends early at an entry of x or a pivot that fails, and checks the final
+first row and column.  first_negative_minor is the witness search: up
+to n = 8 it scans the C(2n, n) - 1 minors by order, and past that it
+deletes rows and columns greedily, in O(n^5) exact operations, down to
+a negative square minor whose proper minors are all >= 0.
 """
 
 from __future__ import annotations
@@ -49,10 +49,15 @@ def _cauchon_matrix(x, fails=None):
     For (s, t) from (n, n) down in reverse lexicographic order, when the
     current entry a_st is nonzero, subtract a_it a_sj / a_st from every
     a_ij with i < s and j < t.  A pivot in the first row or the first
-    column has nothing above or left of it, so those are skipped.  No
-    later step changes a_st, so when `fails(a_st)` holds for a pivot the
-    pass reaches, it stops there and returns None.
+    column has nothing above or left of it, so those are skipped.
+
+    `fails` makes the pass a sign test of every entry: it returns None
+    when `fails` holds for an entry of x, for a pivot when the pass
+    reaches it (no later step changes a_st), or for an entry of the
+    final first row or column (which holds no pivot).
     """
+    if fails and any(fails(value) for row in x.rows for value in row):
+        return None
     a = [list(row) for row in x.rows]
     for s in range(x.n - 1, 0, -1):
         pivot_row = a[s]
@@ -66,27 +71,25 @@ def _cauchon_matrix(x, fails=None):
                 f = row[t] / pivot
                 if f:
                     row[:t] = [b - f * c for b, c in zip(row[:t], pivot_row)]
+    if fails and (any(map(fails, a[0])) or any(fails(row[0]) for row in a)):
+        return None
     return a
 
 
 def is_tnn(x):
     """Totally nonnegative: every minor of every order is >= 0.
 
-    False at once when an entry, a 1x1 minor, is negative.  Otherwise
-    decided from the Cauchon matrix: all of its entries are >= 0, and
-    each zero has only zeros to its left or only zeros above it.  The
-    early tests read signs off numerators, which is several times
-    faster than comparing Fractions.
+    Decided from the Cauchon matrix, whose pass stops at the first
+    negative entry of x or pivot: all of its entries are >= 0, and each
+    zero has only zeros to its left or only zeros above it.  The sign
+    tests read numerators, which is several times faster than comparing
+    Fractions.
     """
-    if any(value.numerator < 0 for row in x.rows for value in row):
-        return False
-    a = _cauchon_matrix(x, lambda pivot: pivot.numerator < 0)
+    a = _cauchon_matrix(x, lambda value: value.numerator < 0)
     if a is None:
         return False
     for i, row in enumerate(a):
         for j, value in enumerate(row):
-            if value < 0:
-                return False
             if not value and any(row[:j]) and any(r[j] for r in a[:i]):
                 return False
     return True
@@ -95,13 +98,10 @@ def is_tnn(x):
 def is_tp(x):
     """Totally positive: every minor of every order is > 0.
 
-    False at once when an entry is <= 0.  Otherwise decided from the
-    Cauchon matrix: all of its entries are > 0.
+    Decided from the Cauchon matrix, whose pass stops at the first entry
+    of x or pivot that is <= 0: all of its entries are > 0.
     """
-    if any(value.numerator <= 0 for row in x.rows for value in row):
-        return False
-    a = _cauchon_matrix(x, lambda pivot: pivot.numerator <= 0)
-    return a is not None and all(value > 0 for row in a for value in row)
+    return _cauchon_matrix(x, lambda value: value.numerator <= 0) is not None
 
 
 def _minimal_negative_minor(x):

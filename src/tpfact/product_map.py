@@ -9,23 +9,56 @@ factors in word order, multiplied out in place from the identity.
 
 from __future__ import annotations
 
-from .errors import BadToken, ZeroDiagonal
-from .networks import parameters, sweep_matrix
+from fractions import Fraction
+
+from .errors import ArityMismatch, BadToken, ZeroDiagonal
+from .linalg import Matrix, exact_scalar
 from .schemes import E, F, H, FactorizationScheme
+
+
+def parameters(values, length):
+    """The parameter vector as Fractions, one per symbol of a
+    length-`length` scheme; each value must be an int or a Fraction."""
+    values = [exact_scalar(v, f"parameter {k}")
+              for k, v in enumerate(values, start=1)]
+    if len(values) != length:
+        raise ArityMismatch(
+            f"{len(values)} parameters for a length-{length} scheme")
+    return values
 
 
 def product(scheme, values):
     """Multiply out the scheme at the given parameter vector.
 
     Checks the parameter count, validates the scheme and rejects a zero
-    bullet parameter, then multiplies out the elementary factors.
+    bullet parameter.  Then right-multiplies the identity rows by each
+    factor in place: e<i> adds t times column i to column i+1, f<i> adds
+    t times column i+1 to column i, h<j> scales column j by t, and a row
+    whose source entry is 0 is left as it is.
     """
     values = parameters(values, scheme.length)
     scheme.validate()
     for sym, t in zip(scheme.word, values):
         if sym.kind == H and t == 0:
             raise ZeroDiagonal(f"{sym.token} requires a nonzero parameter")
-    return sweep_matrix(scheme.n, scheme.word, values)
+    n = scheme.n
+    zero, one = Fraction(0), Fraction(1)
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for sym, t in zip(scheme.word, values):
+        if sym.kind == H:
+            j = sym.index - 1
+            for row in rows:
+                if row[j]:
+                    row[j] *= t
+            continue
+        if sym.kind == E:
+            src, dst = sym.index - 1, sym.index
+        else:
+            src, dst = sym.index, sym.index - 1
+        for row in rows:
+            if row[src]:
+                row[dst] += t * row[src]
+    return Matrix(rows)
 
 
 def commute_h(scheme, values, position):

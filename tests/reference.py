@@ -25,6 +25,9 @@ faster or leaner routines against them.
   reads them off the chamber families of the two Fekete schemes.
 - Total nonnegativity and total positivity by definition, every minor
   of every order, and the w-chamber sets by filtering every subset.
+- Inputs that do not come from the product map: every Cauchon diagram,
+  and restoration, the inverse of the Cauchon pass, which turns a
+  nonnegative filling of a diagram into a TNN matrix.
 - Minors by Bareiss's fraction-free elimination, the recurrence the
   library used before its one Gaussian elimination, and Gaussian
   decomposability read off the leading principal minors.
@@ -49,8 +52,8 @@ from tpfact.errors import (ArityMismatch, BadToken, DecompositionFailure,
 from tpfact.identities import (ExchangeCertificate, dodgson_terms,
                                plucker_terms)
 from tpfact.linalg import Matrix, check_index_pair, det, minor
-from tpfact.networks import parameters
 from tpfact.permutations import Permutation, signed_representative
+from tpfact.product_map import parameters
 from tpfact.schemes import (BRAID3, E, F, H, MIXED2, TRIVIAL2,
                             FactorizationScheme, apply_move,
                             build_arrangement)
@@ -718,6 +721,46 @@ def reference_is_tnn(x):
 def reference_is_tp(x):
     """Totally positive by definition: all C(2n, n) - 1 minors are > 0."""
     return all(value > 0 for value in _all_minors(x))
+
+
+def cauchon_diagrams(n):
+    """Every n x n Cauchon diagram, as the frozenset of its black squares
+    (0-based): a square is black only when every square to its left or
+    every square above it is black.  There are 14, 230 and 6,902 for
+    n = 2, 3 and 4."""
+    squares = [(i, j) for i in range(n) for j in range(n)]
+
+    def grow(k, black):
+        if k == len(squares):
+            yield black
+            return
+        yield from grow(k + 1, black)
+        i, j = squares[k]
+        if (all((i, c) in black for c in range(j))
+                or all((r, j) in black for r in range(i))):
+            yield from grow(k + 1, black | {(i, j)})
+
+    return list(grow(0, frozenset()))
+
+
+def restore(c):
+    """The matrix whose Cauchon matrix is c, a list of rows of Fractions.
+
+    Undoes the deleting-derivations pass step by step: for (s, t) from
+    (2, 2) in lexicographic order, when c_st is nonzero, add
+    c_it c_sj / c_st to every c_ij with i < s and j < t (Cauchon,
+    J. Algebra 260, 2003).  A nonnegative c whose zeros form a Cauchon
+    diagram restores to a TNN matrix.
+    """
+    a = [list(row) for row in c]
+    n = len(a)
+    for s in range(1, n):
+        for t in range(1, n):
+            if a[s][t]:
+                for i in range(s):
+                    for j in range(t):
+                        a[i][j] += a[i][t] * a[s][j] / a[s][t]
+    return Matrix(a)
 
 
 def reference_first_negative_minor(x):

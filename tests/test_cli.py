@@ -406,6 +406,9 @@ FIRST_ACCESS_LOADS = {
     "tpfact.linalg": "errors linalg",
     "tpfact.solve": "bruhat errors linalg permutations schemes solver twist",
     "tpfact.is_tnn": "errors linalg permutations positivity schemes",
+    "tpfact.product": "errors linalg permutations product_map schemes",
+    "tpfact.evaluate_network":
+        "errors linalg networks permutations product_map schemes",
     "hasattr(tpfact, 'no_such_name')": "",
     "from tpfact import *": " ".join(sorted(tpfact._EXPORTS)),
 }

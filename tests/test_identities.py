@@ -125,6 +125,7 @@ def test_certificates_on_every_exchange_move():
                 continue
             cert = exchange_certificate(sch, mv)
             assert set(cert.exchanged) == before ^ after
+            assert set(cert.lhs) == set(cert.exchanged)
             for _ in range(3):
                 assert cert.holds_on(rand_matrix(3, rng))
             seen += 1

@@ -9,9 +9,9 @@ from reference import (Polynomial, all_permutations, elementary_product,
 from tpfact.errors import (ArityMismatch, BadToken, IndexOutOfRange,
                            ValidationError, ZeroDiagonal)
 from tpfact.linalg import minor
-from tpfact.networks import build_network, evaluate_network, parameters
+from tpfact.networks import build_network, evaluate_network
 from tpfact.permutations import Permutation
-from tpfact.product_map import product
+from tpfact.product_map import parameters, product
 from tpfact.schemes import (FactorizationScheme, SchemeSymbol, apply_move,
                             available_moves, parse_scheme, seed_scheme)
 
@@ -171,8 +171,11 @@ def test_product_matches_both_oracles_on_moved_schemes():
                     entry = symbolic_entry(sch, i, j).evaluate(vals)
                     assert entry == x.entry(i, j), (sch, i, j)
         k = rng.choice([k for k, s in enumerate(sch.word) if s.kind == "H"])
+        zeroed = vals[:k] + [Fraction(0)] + vals[k + 1:]
         with pytest.raises(ZeroDiagonal):
-            product(sch, vals[:k] + [Fraction(0)] + vals[k + 1:])
+            product(sch, zeroed)
+        with pytest.raises(ZeroDiagonal):
+            evaluate_network(build_network(sch), zeroed)
     assert signs == {-1, 0, 1}
 
 

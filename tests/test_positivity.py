@@ -7,10 +7,10 @@ from math import comb
 
 import pytest
 
-from reference import (all_permutations, elementary_product,
-                       reference_fekete_families, reference_first_negative_minor,
-                       reference_is_tnn, reference_is_tp,
-                       reference_w_chamber_sets)
+from reference import (all_permutations, cauchon_diagrams,
+                       elementary_product, reference_fekete_families,
+                       reference_first_negative_minor, reference_is_tnn,
+                       reference_is_tp, reference_w_chamber_sets, restore)
 from tpfact import positivity
 from tpfact.bruhat import double_cell_of
 from tpfact.errors import SizeMismatch, TooMuchWork, ValidationError
@@ -149,6 +149,36 @@ def test_is_tnn_and_is_tp_match_the_definitions():
     assert singular_tnn >= 450
     assert {is_tp(x) for x in samples} == {is_tnn(x) for x in samples} == {
         True, False}
+
+
+@pytest.mark.parametrize("n, count", [(2, 14), (3, 230), (4, 6902)])
+def test_sign_test_on_every_cauchon_diagram(n, count):
+    """Inputs that do not come from product: positive rationals on the
+    white squares of each Cauchon diagram, restored, give a TNN matrix
+    with that Cauchon matrix, TP exactly when no square is black; with
+    one white entry negated, anywhere (the first row and column
+    included), they give neither."""
+    rng = random.Random(270 + n)
+    diagrams = cauchon_diagrams(n)
+    assert len(diagrams) == count
+    for black in diagrams:
+        c = [[Fraction(0) if (i, j) in black
+              else Fraction(rng.randint(1, 9), rng.randint(1, 5))
+              for j in range(n)] for i in range(n)]
+        x = restore(c)
+        assert _cauchon_matrix(x) == c, black
+        assert is_tnn(x), black
+        assert is_tp(x) == (not black), black
+        white = [(i, j) for i in range(n) for j in range(n)
+                 if (i, j) not in black]
+        if not white:
+            continue
+        i, j = rng.choice(white)
+        c[i][j] = -c[i][j]
+        y = restore(c)
+        assert not is_tnn(y) and not is_tp(y), (black, i, j)
+        if n < 4 or rng.random() < 0.1:
+            assert reference_is_tnn(x) and not reference_is_tnn(y), black
 
 
 def non_tnn_samples(n, rng):
