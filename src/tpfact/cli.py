@@ -128,15 +128,11 @@ def _cmd_cell(args):
 
 
 def _cmd_check(args):
-    from .positivity import (CriterionReport, chamber_criterion,
-                             chamber_set_criterion, fekete_criterion,
-                             first_negative_minor, is_tnn)
+    from .positivity import (chamber_criterion, chamber_set_criterion,
+                             fekete_criterion, tnn_report)
     x = _load_matrix(args.matrix)
     if args.mode == "all":
-        # the verdict is polynomial; only a false one pays for the scan
-        verdict = is_tnn(x)
-        report = CriterionReport(verdict,
-                                 None if verdict else first_negative_minor(x))
+        report = tnn_report(x)
     elif args.mode == "chamber":
         if args.scheme is None:
             raise ValidationError("--mode chamber needs --scheme")

@@ -138,20 +138,41 @@ def _minimal_negative_minor(x):
     return rows, cols, minor(x, rows, cols)
 
 
+def _scans_by_order(n):
+    """Whether first_negative_minor scans by order: while the C(2n, n) - 1
+    minors number at most MAX_CHAMBER_SET_MINORS (n <= 8)."""
+    return comb(2 * n, n) - 1 <= MAX_CHAMBER_SET_MINORS
+
+
 def first_negative_minor(x):
     """(rows, cols, value) of a negative minor, or None when x is TNN.
 
-    While the C(2n, n) - 1 minors number at most MAX_CHAMBER_SET_MINORS
-    (n <= 8), the first negative one by order: size, then rows, then
-    columns.  Past that, the greedy witness of _minimal_negative_minor.
+    While _scans_by_order(n), the first negative one by order: size,
+    then rows, then columns.  Past that, the greedy witness of
+    _minimal_negative_minor.
     """
-    if comb(2 * x.n, x.n) - 1 > MAX_CHAMBER_SET_MINORS:
+    if not _scans_by_order(x.n):
         return _minimal_negative_minor(x)
     for rows, cols in _all_index_pairs(x.n):
         value = minor(x, rows, cols)
         if value < 0:
             return rows, cols, value
     return None
+
+
+def tnn_report(x):
+    """The report of `check --mode all`: is_tnn(x), with the witness of
+    first_negative_minor(x) when it is false.
+
+    While the witness is a scan, the verdict comes first and only a
+    false one pays for the scan.  Past that, the greedy search's own
+    first test of x is the verdict, so x takes one Cauchon pass.
+    """
+    if _scans_by_order(x.n):
+        verdict = is_tnn(x)
+        return CriterionReport(verdict, None if verdict else first_negative_minor(x))
+    witness = _minimal_negative_minor(x)
+    return CriterionReport(witness is None, witness)
 
 
 class CriterionReport(NamedTuple):

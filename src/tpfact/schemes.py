@@ -85,9 +85,10 @@ class FactorizationScheme(NamedTuple):
         if sorted(h_indices) != list(range(1, n + 1)):
             raise BadHPart(
                 f"h-part {h_indices} is not a permutation of 1..{n}")
-        for name, word, error in (("e", self.e_subword, NotReducedE),
-                                  ("f", self.f_subword, NotReducedF)):
-            if len(word) != _word_permutation(n, word).length():
+        u, v, _ = _cell_permutations(n, self.word)
+        for name, word, w, error in (("e", self.e_subword, v, NotReducedE),
+                                     ("f", self.f_subword, u, NotReducedF)):
+            if len(word) != w.length():
                 raise error(f"{name}-subword {word} is not reduced")
 
     @property
@@ -104,15 +105,15 @@ class FactorizationScheme(NamedTuple):
 
     @property
     def u(self):
-        return _word_permutation(self.n, self.f_subword)
+        return _cell_permutations(self.n, self.word)[0]
 
     @property
     def v(self):
-        return _word_permutation(self.n, self.e_subword)
+        return _cell_permutations(self.n, self.word)[1]
 
     @property
     def cell_type(self):
-        return (self.u, self.v)
+        return _cell_permutations(self.n, self.word)[:2]
 
     def h_position(self, line):
         """Word position of the bullet on the given horizontal line."""
@@ -125,11 +126,16 @@ class FactorizationScheme(NamedTuple):
         return " ".join(s.token for s in self.word)
 
 
-@lru_cache(maxsize=1024)
-def _word_permutation(n, word):
-    """The permutation of a reduced word, shared: Permutation is immutable.
-    One entry is a few hundred bytes, so the cache holds well under 1 MB."""
-    return Permutation.from_word(n, word)
+@lru_cache(maxsize=64)
+def _cell_permutations(n, word):
+    """(u, v, v^-1) of a scheme word, read off its subwords once per word
+    and shared: Permutation is immutable.  The reversed e-subword spells
+    v^-1.  An open-cell entry at n = 6 holds about 5 KB, the word
+    included, so the cache holds well under 1 MB."""
+    e = tuple([s.index for s in word if s.kind == E])
+    f = tuple([s.index for s in word if s.kind == F])
+    return (Permutation.from_word(n, f), Permutation.from_word(n, e),
+            Permutation.from_word(n, e[::-1]))
 
 
 def parse_scheme(text):
@@ -262,9 +268,7 @@ def chamber_minor_family(scheme):
     The bottom chamber is skipped (its minor is the constant 1); the
     remaining l chambers are listed by level and then left to right.
     """
-    u = scheme.u
-    # the reversed word of v spells v^-1
-    vinv = _word_permutation(scheme.n, scheme.e_subword[::-1])
+    u, _, vinv = _cell_permutations(scheme.n, scheme.word)
     return [(u.apply(row_set), vinv.apply(col_set)) for _, _, row_set, col_set
             in _chamber_sets(scheme.n, scheme.word)[1:]]
 

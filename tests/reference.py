@@ -31,6 +31,9 @@ faster or leaner routines against them.
 - Minors by Bareiss's fraction-free elimination, the recurrence the
   library used before its one Gaussian elimination, and Gaussian
   decomposability read off the leading principal minors.
+- The index-set check of a minor in two passes per set, first the
+  range of every index and then their order, as the library made it
+  before its one-pass check.
 - Bruhat cell membership with one `minor` call per condition, the
   nonvanishing ones included.
 - The h-commutation spelled out case by case (h on either side, j = i,
@@ -664,6 +667,22 @@ def reference_minor(x, rows, cols):
             m[r][c] = Fraction(0)
         prev = m[c][c]
     return sign * m[k - 1][k - 1]
+
+
+def reference_check_index_pair(row_set, col_set, n):
+    """check_index_pair as two passes over each set: every index in
+    [1, n] first, then strictly increasing; the sizes last."""
+    pair = tuple(tuple(indices) for indices in (row_set, col_set))
+    for indices in pair:
+        for a in indices:
+            if type(a) is not int or not 1 <= a <= n:
+                raise IndexOutOfRange(f"index {a!r} outside [1, {n}]")
+        if any(a >= b for a, b in zip(indices, indices[1:])):
+            raise IndexOutOfRange(f"index set {indices} is not strictly increasing")
+    rows, cols = pair
+    if len(rows) != len(cols):
+        raise SizeMismatch(f"row set size {len(rows)} != column set size {len(cols)}")
+    return pair
 
 
 def leading_principal_minors(x):

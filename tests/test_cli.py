@@ -11,10 +11,10 @@ from math import comb
 import pytest
 
 import tpfact
-from tpfact import bruhat
+from tpfact import bruhat, positivity
 from tpfact.cli import main
-from tpfact.linalg import Matrix, det, minor
-from tpfact.positivity import first_negative_minor
+from tpfact.linalg import Matrix, det, matrix_to_json, minor
+from tpfact.positivity import CriterionReport, first_negative_minor, is_tnn
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
 
@@ -566,16 +566,20 @@ def test_check_all_on_a_tnn_16x16_matrix_finishes_in_seconds(tmp_path):
                                       "witness": None}
 
 
-@pytest.mark.parametrize("n", [10, 16])
-def test_check_all_finds_a_late_witness_in_seconds(tmp_path, n):
-    # the Pascal matrix with a_nn lowered until det < 0: its first negative
-    # minor by order is 8x8 at n = 10, which the ordered scan reaches
-    # after more than 10^5 minors
+def late_witness_matrix(n):
+    """The Pascal matrix with a_nn lowered until det < 0."""
     pascal = [[comb(i + j, i) for j in range(n)] for i in range(n)]
     while det(Matrix(pascal)) >= 0:
         pascal[-1][-1] -= 1
-    path = write_matrix(tmp_path, "late.json", n,
-                        [[str(e) for e in row] for row in pascal])
+    return Matrix(pascal)
+
+
+@pytest.mark.parametrize("n", [10, 16])
+def test_check_all_finds_a_late_witness_in_seconds(tmp_path, n):
+    # its first negative minor by order is 8x8 at n = 10, which the
+    # ordered scan reaches after more than 10^5 minors
+    x = late_witness_matrix(n)
+    path = write_matrix(tmp_path, "late.json", n, matrix_to_json(x)["entries"])
     out = fresh_python("-m", "tpfact.cli", "check", "--matrix", path,
                        "--mode", "all", timeout=10)
     assert out.returncode == 0, out.stderr
@@ -584,7 +588,32 @@ def test_check_all_finds_a_late_witness_in_seconds(tmp_path, n):
     rows, cols = report["witness"]["rows"], report["witness"]["cols"]
     assert len(rows) == len(cols)
     value = Fraction(report["witness"]["value"])
-    assert value < 0 and value == minor(Matrix(pascal), rows, cols)
+    assert value < 0 and value == minor(x, rows, cols)
+
+
+def test_check_all_past_the_scan_bound_tests_x_once(tmp_path, capsys,
+                                                     monkeypatch):
+    # the greedy search's first test of x is the verdict: one Cauchon pass
+    # for x, then one per row and per column it tries to drop
+    n = 10
+    x = late_witness_matrix(n)
+    path = write_matrix(tmp_path, "late.json", n, matrix_to_json(x)["entries"])
+    passes = []
+    original = positivity._cauchon_matrix
+
+    def counted(y, fails=None):
+        passes.append(y.n)
+        return original(y, fails)
+
+    monkeypatch.setattr(positivity, "_cauchon_matrix", counted)
+    code, out = run(capsys, "check", "--matrix", path, "--mode", "all")
+    assert code == 0
+    assert len(passes) == 2 * n + 1
+    passes.clear()
+    witness = first_negative_minor(x)
+    assert json.loads(out) == {"mode": "all", **CriterionReport(
+        False, witness).to_json()}
+    assert is_tnn(x) is False and len(passes) == 2 * n + 2
 
 
 N16 = 16

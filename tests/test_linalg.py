@@ -1,13 +1,19 @@
+import importlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from reference import diagonal_matrix, leading_principal_minors, reference_minor
+from reference import (diagonal_matrix, leading_principal_minors,
+                       reference_check_index_pair, reference_minor)
+from tpfact import linalg
 from tpfact.errors import IndexOutOfRange, SizeMismatch, ValidationError
 from tpfact.linalg import (
     Matrix,
+    check_index_pair,
     det,
     matrix_from_json,
     matrix_from_json_text,
@@ -17,6 +23,11 @@ from tpfact.linalg import (
     scalar_from_str,
     scalar_to_str,
 )
+from tpfact.permutations import Permutation
+from tpfact.positivity import chamber_set_criterion, first_negative_minor
+from tpfact.product_map import product
+from tpfact.schemes import seed_scheme
+from tpfact.solver import solve
 
 
 def rand_matrix(n, rng):
@@ -109,6 +120,176 @@ def test_sparse_minors_against_bareiss_and_expansion():
                         assert value == reference_minor(x, rows, cols)
                         if n <= 4:
                             assert value == det_by_expansion(x, rows, cols)
+
+
+# entries of three sizes: small integers, small fractions and 32-bit
+# numerators over 32-bit denominators
+ENTRIES = {
+    "integer": lambda rng: Fraction(rng.randint(1, 9)),
+    "fraction": lambda rng: Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+    "32-bit": lambda rng: Fraction(rng.getrandbits(32) | 1,
+                                   rng.getrandbits(32) | 1),
+}
+
+
+def signed_sparse_matrix(n, rng, entry):
+    # half the entries zero, the rest of either sign
+    return Matrix([[rng.choice((-1, 0, 0, 1)) * entry(rng) for _ in range(n)]
+                   for _ in range(n)])
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_minor_matches_bareiss_at_every_order(n, kind):
+    rng = random.Random(f"{n} {kind}")
+    gaps = 0
+    for _ in range(6):
+        x = signed_sparse_matrix(n, rng, ENTRIES[kind])
+        for k in range(n + 1):
+            for _ in range(6):
+                rows = tuple(sorted(rng.sample(range(1, n + 1), k)))
+                cols = tuple(sorted(rng.sample(range(1, n + 1), k)))
+                gaps += k > 0 and rows[-1] - rows[0] >= k
+                assert minor(x, rows, cols) == reference_minor(x, rows, cols)
+    assert gaps > 0 or n <= 2
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+def test_order_two_minors_on_every_zero_pattern(kind):
+    # the 2x2 block (a, b; c, d) sits in rows 2, 4 and columns 1, 3
+    rng = random.Random(kind)
+    for pattern in range(16):
+        for _ in range(4):
+            a, b, c, d = (ENTRIES[kind](rng) * rng.choice((-1, 1))
+                          if pattern >> bit & 1 else Fraction(0)
+                          for bit in range(4))
+            rows = [[ENTRIES[kind](rng) for _ in range(4)] for _ in range(4)]
+            rows[1][0], rows[1][2], rows[3][0], rows[3][2] = a, b, c, d
+            x = Matrix(rows)
+            value = minor(x, (2, 4), (1, 3))
+            assert value == a * d - b * c == reference_minor(x, (2, 4), (1, 3))
+            assert type(value) is Fraction
+
+
+def test_orders_below_three_do_not_eliminate(monkeypatch):
+    def no_elimination(m, k):
+        raise AssertionError(f"order {k} reached _eliminate")
+
+    monkeypatch.setattr(linalg, "_eliminate", no_elimination)
+    rng = random.Random(9)
+    for kind in sorted(ENTRIES):
+        x = signed_sparse_matrix(4, rng, ENTRIES[kind])
+        for k in range(3):
+            for rows in itertools.combinations(range(1, 5), k):
+                for cols in itertools.combinations(range(1, 5), k):
+                    assert minor(x, rows, cols) == reference_minor(x, rows, cols)
+    with pytest.raises(AssertionError, match="order 3 reached _eliminate"):
+        minor(x, (1, 2, 3), (2, 3, 4))
+
+
+def malformed_index_sets(n, rng):
+    """Seeded (rows, cols) pairs, each set a tuple, a list or a generator
+    factory, with out-of-range, non-int, repeated or decreasing indices,
+    sometimes two faults in one set, and sizes that differ."""
+    pool = [0, n + 1, -1, 99, True, False, 1.0, "1", None] + list(range(1, n + 1))
+
+    def index_set():
+        size = rng.randint(0, n + 1)
+        if rng.random() < 0.4:
+            values = sorted(rng.sample(range(1, n + 1), min(size, n)))
+        else:
+            values = [rng.choice(pool) for _ in range(size)]
+        if rng.random() < 0.3 and values:
+            values.insert(rng.randrange(len(values) + 1), rng.choice(values))
+        if rng.random() < 0.2:
+            values.reverse()
+        container = rng.choice((tuple, list, "generator"))
+        if container == "generator":
+            return lambda: (a for a in values)
+        return lambda: container(values)
+
+    fixed = [((3, 1, 99), (1,)), ((1, 1, 0), (1, 2, 3)), ((1, 2), (2, 1)),
+             ((2, 1), (5, 1)), ((1,), (1, 2)), ((True,), (1,)),
+             ((1, n + 1), (0,)), ((), ()), ((1, 3), [4, 2])]
+    for rows, cols in fixed:
+        yield (lambda: rows), (lambda: cols)
+    for _ in range(400):
+        yield index_set(), index_set()
+
+
+def outcome(check, rows, cols, n):
+    try:
+        return check(rows, cols, n)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def test_check_index_pair_matches_the_two_pass_check():
+    rng = random.Random(28)
+    seen = Counter()
+    for n in (3, 4, 6):
+        for rows, cols in malformed_index_sets(n, rng):
+            got = outcome(check_index_pair, rows(), cols(), n)
+            assert got == outcome(reference_check_index_pair, rows(), cols(), n)
+            fault, message = got if type(got[0]) is type else (None, "")
+            seen[fault, message.endswith("increasing")] += 1
+    # valid pairs, sizes that differ, indices out of range and out of order
+    assert min(seen[key] for key in ((None, False), (SizeMismatch, False),
+                                     (IndexOutOfRange, False),
+                                     (IndexOutOfRange, True))) >= 20, seen
+    # an index out of range wins over an earlier fault of order
+    assert outcome(check_index_pair, (3, 1, 99), (1,), 4) == (
+        IndexOutOfRange, "index 99 outside [1, 4]")
+    assert outcome(check_index_pair, [2, 1], (1, 2), 4) == (
+        IndexOutOfRange, "index set (2, 1) is not strictly increasing")
+
+
+# every module that evaluates minors, with the one kernel bound as `minor`
+MINOR_CALLERS = ("bruhat", "identities", "linalg", "positivity", "solver")
+
+
+@pytest.fixture
+def minor_calls(monkeypatch):
+    """The order of every minor evaluated, through any caller's binding."""
+    orders = []
+    original = linalg.minor
+
+    def counting(x, rows, cols):
+        orders.append(len(rows))
+        return original(x, rows, cols)
+
+    for name in MINOR_CALLERS:
+        module = importlib.import_module(f"tpfact.{name}")
+        assert module.minor is original, name
+        monkeypatch.setattr(module, "minor", counting)
+    return orders
+
+
+def open_cell_product(n, seed):
+    w0 = Permutation.longest_element(n)
+    scheme = seed_scheme(w0, w0)
+    rng = random.Random(seed)
+    values = [Fraction(rng.randint(1, 9), rng.randint(1, 5))
+              for _ in range(scheme.length)]
+    return scheme, values, product(scheme, values)
+
+
+def test_callers_evaluate_minors_through_the_one_kernel(minor_calls):
+    # the ordered scan on a TNN input: every minor of orders 1..4
+    scheme, values, x = open_cell_product(4, 4)
+    assert first_negative_minor(x) is None
+    assert len(minor_calls) == comb(8, 4) - 1 == 69
+    assert Counter(minor_calls) == {1: 16, 2: 36, 3: 16, 4: 1}
+    minor_calls.clear()
+    w0 = Permutation.longest_element(4)
+    assert chamber_set_criterion(w0, w0, x).verdict
+    assert len(minor_calls) == 69
+    # classification (two determinants, the rest Bruhat conditions), then
+    # one chamber minor per parameter
+    scheme, values, x = open_cell_product(5, 5)
+    minor_calls.clear()
+    assert solve(scheme, x) == values
+    assert len(minor_calls) == 265
 
 
 def test_minor_empty_sets_is_one():
