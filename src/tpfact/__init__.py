@@ -35,11 +35,11 @@ _EXPORTS = {
                    "w_chamber_sets"),
     "product_map": ("commute_h", "product"),
     "render": ("isotopy_dot", "render_ascii", "render_svg"),
-    "schemes": ("Arrangement", "Chamber", "FactorizationScheme",
-                "IsotopyGraph", "Move", "SchemeSymbol", "apply_move",
-                "available_moves", "build_arrangement",
-                "chamber_minor_family", "enumerate_isotopy_types",
-                "isotopy_key", "parse_scheme", "seed_scheme"),
+    "schemes": ("Chamber", "FactorizationScheme", "IsotopyGraph", "Move",
+                "SchemeSymbol", "apply_move", "available_moves",
+                "build_arrangement", "chamber_minor_family",
+                "enumerate_isotopy_types", "isotopy_key", "parse_scheme",
+                "seed_scheme"),
     "solver": ("solve",),
     "twist": ("twist",),
 }

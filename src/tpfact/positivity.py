@@ -259,6 +259,12 @@ def chamber_set_criterion(u, v, x):
 # Fekete-style interval criteria
 
 
+def _check_variant(variant):
+    """Refuse all but the ints 1 and 2, before any cache sees the value."""
+    if type(variant) is not int or variant not in (1, 2):
+        raise ValidationError(f"variant must be 1 or 2, got {variant!r}")
+
+
 def fekete_scheme(n, variant):
     """Schemes whose chamber families are the two interval criteria.
 
@@ -268,11 +274,10 @@ def fekete_scheme(n, variant):
     unbarred letter immediately by its barred twin.  Bullets go at the
     end; the chamber family does not depend on where they sit.
     """
+    _check_variant(variant)
     w0 = Permutation.longest_element(n)
     if variant == 1:
         return seed_scheme(w0, w0)
-    if variant != 2:
-        raise ValidationError(f"variant must be 1 or 2, got {variant!r}")
     symbols = [SchemeSymbol(kind, i)
                for i in w0.lex_min_reduced_word() for kind in (E, F)]
     symbols += [SchemeSymbol(H, j) for j in range(1, n + 1)]
@@ -295,8 +300,7 @@ def fekete_families(n):
 
 
 def fekete_criterion(x, variant):
-    if variant not in (1, 2):
-        raise ValidationError(f"variant must be 1 or 2, got {variant!r}")
+    _check_variant(variant)
     return _family_report(x, _fekete_family(x.n, variant))
 
 

@@ -191,75 +191,49 @@ def _labels(mask):
     return tuple(j for j in range(1, mask.bit_length()) if mask >> j & 1)
 
 
-def _chamber_sets(n, word):
-    """(level, start, I, J) for every chamber, by level, then left to right.
+def build_arrangement(scheme):
+    """The chambers of a scheme's arrangement by level: levels[k] holds the
+    level-k chambers left to right, k = 0..n.
 
     The bottom (level 0) and top (level n) chambers span the strip.  A
     level-k chamber with 0 < k < n starts at the left border or just
-    right of a level-k crossing; I and J are the sorted labels of the
-    lowest k F-lines and E-lines there.
+    right of a level-k crossing and ends at the next one or at the right
+    border; I and J are the sorted labels of the lowest k F-lines and
+    E-lines there.
 
     below[k] holds bit j for each label j at heights 1..k.  A level-i
     crossing swaps the labels at heights i and i+1, so it changes only
     below[i], to below[i-1] plus the label at height i+1, which is
-    below[i-1] ^ below[i] ^ below[i+1].  A forward sweep over the
-    E-crossings and a backward sweep over the F-crossings give the
-    F-masks and the E-masks of the crossings, left to right, and the
-    F-masks below[0..n] at the left border, where the E-masks are 1..k.
-    No table grows with 2^n: a mask becomes its labels through a bounded
-    cache.
+    below[i-1] ^ below[i] ^ below[i+1].  A backward sweep over the
+    F-crossings gives the F-masks of the crossings and below[0..n] at
+    the left border, where the E-masks are 1..k.  A forward sweep over
+    the E-crossings gives their E-masks and builds each chamber when the
+    next crossing of its level closes it.  No table grows with 2^n: a
+    mask becomes its labels through a bounded cache.
     """
+    n, word = scheme.n, scheme.word
     below = [(2 << k) - 2 for k in range(n + 1)]
-    e_masks = []
-    for kind, i in word:
-        if kind == E:
-            below[i] ^= below[i - 1] ^ below[i + 1]
-        if kind != H:
-            e_masks.append(below[i])
-    below = [(2 << k) - 2 for k in range(n + 1)]
-    f_masks = []
+    f_masks = []  # right to left
     for kind, i in reversed(word):
         if kind != H:
             f_masks.append(below[i])
         if kind == F:
             below[i] ^= below[i - 1] ^ below[i + 1]
-    f_masks.reverse()
-    levels = [[(k, 0, _labels(below[k]), tuple(range(1, k + 1)))]
+    # the open chamber of each level: start, left kind, I, J
+    opened = [(0, E, _labels(below[k]), tuple(range(1, k + 1)))
               for k in range(n + 1)]
-    crossings = ((p, i) for p, (kind, i) in enumerate(word, 1) if kind != H)
-    for (p, i), f, e in zip(crossings, f_masks, e_masks):
-        levels[i].append((i, p, _labels(f), _labels(e)))
-    return [chamber for level in levels for chamber in level]
-
-
-class Arrangement:
-    """The double pseudoline arrangement of a scheme: its chambers."""
-
-    def __init__(self, scheme):
-        self.scheme = scheme
-        self.n = scheme.n
-        self.chambers = self._build_chambers()
-
-    def _build_chambers(self):
-        """Each chamber ends where the next of its level starts, else at l+1."""
-        word = self.scheme.word
-        l = len(word)
-        sets = _chamber_sets(self.n, word)
-        chambers = []
-        for (level, a, row_set, col_set), following in zip(sets, sets[1:] + [None]):
-            b = following[1] if following and following[0] == level else l + 1
-            left_kind = E if a == 0 else word[a - 1].kind
-            right_kind = F if b == l + 1 else word[b - 1].kind
-            chambers.append(
-                Chamber(level, a, b, left_kind, right_kind, row_set, col_set))
-        return chambers
-
-    def chambers_at_level(self, level):
-        return [c for c in self.chambers if c.level == level]
-
-
-def build_arrangement(scheme):
-    return Arrangement(scheme)
+    levels = [[] for _ in opened]
+    below = [(2 << k) - 2 for k in range(n + 1)]
+    for p, (kind, i) in enumerate(word, 1):
+        if kind == E:
+            below[i] ^= below[i - 1] ^ below[i + 1]
+        if kind != H:
+            start, left, rows, cols = opened[i]
+            levels[i].append(Chamber(i, start, p, left, kind, rows, cols))
+            opened[i] = (p, kind, _labels(f_masks.pop()), _labels(below[i]))
+    for k, (start, left, rows, cols) in enumerate(opened):
+        levels[k].append(Chamber(k, start, len(word) + 1, left, F, rows, cols))
+    return levels
 
 
 def chamber_minor_family(scheme):
@@ -267,10 +241,13 @@ def chamber_minor_family(scheme):
 
     The bottom chamber is skipped (its minor is the constant 1); the
     remaining l chambers are listed by level and then left to right.
+    Labels lie in 1..n, so the one-line forms of u and v^-1 map them.
     """
     u, _, vinv = _cell_permutations(scheme.n, scheme.word)
-    return [(u.apply(row_set), vinv.apply(col_set)) for _, _, row_set, col_set
-            in _chamber_sets(scheme.n, scheme.word)[1:]]
+    u, vinv = u.oneline, vinv.oneline
+    return [(tuple(sorted([u[j - 1] for j in c.row_set])),
+             tuple(sorted([vinv[j - 1] for j in c.col_set])))
+            for level in build_arrangement(scheme)[1:] for c in level]
 
 
 def isotopy_key(scheme):
@@ -286,8 +263,8 @@ def isotopy_key(scheme):
 
 @lru_cache(maxsize=128)
 def _crossing_key(n, word):
-    return tuple(sorted((rows, cols) for _, _, rows, cols
-                        in _chamber_sets(n, word)))
+    levels = build_arrangement(FactorizationScheme(n, word))
+    return tuple(sorted(c.sets for level in levels for c in level))
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,9 @@ def solve(scheme, x):
         raise SizeMismatch(f"matrix size {x.n} != scheme size {scheme.n}")
     u, v = scheme.cell_type
     xprime = twist(x, u, v)
-    arrangement = build_arrangement(scheme)
     # per level: chambers, their minors and the prefix products
     table = []
-    for level in range(scheme.n + 1):
-        chambers = arrangement.chambers_at_level(level)
+    for level, chambers in enumerate(build_arrangement(scheme)):
         deltas = [chamber_minor(xprime, c) if level else Fraction(1)
                   for c in chambers]
         prefix = [Fraction(1)]

@@ -216,9 +216,8 @@ class BigChamber:
     end: int
 
 
-def big_chambers(arrangement, kind, level):
+def big_chambers(scheme, kind, level):
     """Big chambers of the given family at one level, left to right."""
-    scheme = arrangement.scheme
     l = scheme.length
     cuts = [p for p in range(1, l + 1)
             if scheme.word[p - 1].kind == kind
@@ -227,12 +226,13 @@ def big_chambers(arrangement, kind, level):
     return [BigChamber(kind, level, a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def pi_monomial(arrangement, xprime, level):
-    """The level monomial Pi_level(x'); Pi_0 is 1."""
+def pi_monomial(levels, xprime, level):
+    """The level monomial Pi_level(x'), levels being the scheme's
+    build_arrangement; Pi_0 is 1."""
     if level == 0:
         return Fraction(1)
     value = Fraction(1)
-    for c in arrangement.chambers_at_level(level):
+    for c in levels[level]:
         if c.type == "FE":
             value *= chamber_minor(xprime, c)
         elif c.type == "EF":
@@ -240,7 +240,7 @@ def pi_monomial(arrangement, xprime, level):
     return value
 
 
-def big_chamber_monomial(arrangement, xprime, big, side):
+def big_chamber_monomial(levels, xprime, big, side):
     """The left- or right-end Laurent monomial of a big chamber.
 
     Taking the right end: start from the minor of the small chamber
@@ -252,11 +252,11 @@ def big_chamber_monomial(arrangement, xprime, big, side):
     the exemption there applying to the F-family at the left border.
     """
     own, other = big.kind, (E if big.kind == F else F)
-    small = arrangement.chambers_at_level(big.level)
+    small = levels[big.level]
     value = Fraction(1)
     if side == "right":
         anchor = next(c for c in small if c.end == big.end)
-        if not (own == E and anchor.end == arrangement.scheme.length + 1):
+        if not (own == E and anchor is small[-1]):
             value *= chamber_minor(xprime, anchor)
         for c in small:
             if c.start >= big.end:
@@ -279,15 +279,15 @@ def big_chamber_monomial(arrangement, xprime, big, side):
     return value
 
 
-def _surrounding_big_chambers(arrangement, position):
+def _surrounding_big_chambers(scheme, position):
     """Above, below, left, right big chambers of a crossing."""
-    sym = arrangement.scheme.word[position - 1]
+    sym = scheme.word[position - 1]
     level = sym.index
-    above = next(b for b in big_chambers(arrangement, sym.kind, level + 1)
+    above = next(b for b in big_chambers(scheme, sym.kind, level + 1)
                  if b.start < position < b.end)
-    below = next(b for b in big_chambers(arrangement, sym.kind, level - 1)
+    below = next(b for b in big_chambers(scheme, sym.kind, level - 1)
                  if b.start < position < b.end)
-    same = big_chambers(arrangement, sym.kind, level)
+    same = big_chambers(scheme, sym.kind, level)
     left = next(b for b in same if b.end == position)
     right = next(b for b in same if b.start == position)
     return above, below, left, right
@@ -297,23 +297,23 @@ def reference_solve(scheme, x):
     """Parameters of x along the scheme, one big-chamber search per crossing."""
     u, v = scheme.cell_type
     xprime = twist(x, u, v)
-    arrangement = build_arrangement(scheme)
+    levels = build_arrangement(scheme)
     values = []
     for position, sym in enumerate(scheme.word, start=1):
         if sym.kind == H:
-            t = (pi_monomial(arrangement, xprime, sym.index)
-                 / pi_monomial(arrangement, xprime, sym.index - 1))
+            t = (pi_monomial(levels, xprime, sym.index)
+                 / pi_monomial(levels, xprime, sym.index - 1))
         else:
             above, below, left, right = _surrounding_big_chambers(
-                arrangement, position)
+                scheme, position)
             upper_side = ("left" if scheme.h_position(sym.index + 1) > position
                           else "right")
             lower_side = ("left" if scheme.h_position(sym.index) > position
                           else "right")
-            t = (big_chamber_monomial(arrangement, xprime, above, upper_side)
-                 * big_chamber_monomial(arrangement, xprime, below, lower_side)
-                 / big_chamber_monomial(arrangement, xprime, left, upper_side)
-                 / big_chamber_monomial(arrangement, xprime, right, lower_side))
+            t = (big_chamber_monomial(levels, xprime, above, upper_side)
+                 * big_chamber_monomial(levels, xprime, below, lower_side)
+                 / big_chamber_monomial(levels, xprime, left, upper_side)
+                 / big_chamber_monomial(levels, xprime, right, lower_side))
         if t == 0:
             raise ZeroParameter(f"parameter at position {position} came out zero")
         values.append(t)
@@ -448,7 +448,7 @@ def chamber_values_from_parameters(scheme, values):
     values = parameters(values, scheme.length)
     e_states, f_states = line_states(scheme.n, scheme.word)
     out = {}
-    for chamber in build_arrangement(scheme).chambers:
+    for chamber in [c for level in build_arrangement(scheme) for c in level]:
         product = Fraction(1)
         for position, (kind, i) in enumerate(scheme.word, start=1):
             if kind != F and position >= chamber.end:

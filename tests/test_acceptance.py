@@ -320,12 +320,10 @@ def test_criterion_09_identity_fuzzer():
 def test_criterion_10_inverse_ansatz():
     def body():
         sch = parse_scheme(RUNNING)
-        arr = build_arrangement(sch)
+        levels = build_arrangement(sch)
         rng = random.Random(110)
-        ch31 = next(c for c in arr.chambers_at_level(1)
-                    if c.sets == ((3,), (1,)))
-        ch123 = next(c for c in arr.chambers_at_level(3)
-                     if c.sets == ((1, 2, 3), (1, 2, 4)))
+        ch31 = next(c for c in levels[1] if c.sets == ((3,), (1,)))
+        ch123 = next(c for c in levels[3] if c.sets == ((1, 2, 3), (1, 2, 4)))
         for _ in range(50):
             t = positive_vals(13, rng)
             xp = twist(product(sch, t), sch.u, sch.v)

@@ -320,7 +320,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(tpfact.__file__)))
 # every name the package exports; the test-only helpers moved to
 # tests/reference.py
 EXPORTS = [
-    "Arrangement", "Chamber", "CriterionReport", "ExchangeCertificate",
+    "Chamber", "CriterionReport", "ExchangeCertificate",
     "FactorizationScheme", "IsotopyGraph", "Matrix", "Move", "Permutation",
     "PreconditionError", "SchemeSymbol", "ValidationError", "apply_move",
     "available_moves", "bruhat_cell_of", "build_arrangement", "build_network",

@@ -451,7 +451,10 @@ def test_fekete_criterion_matches_is_tp():
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("variant", [0, 3, -1, "1", None])
+# a bool, a float equal to 1 or 2 and an unhashable list are refused as
+# well, the list with ValidationError before the family cache sees it
+@pytest.mark.parametrize("variant",
+                         [0, 3, -1, "1", None, True, 1.0, 2.0, [1]])
 def test_fekete_rejects_other_variants(variant):
     x = Matrix.identity(3)
     message = f"variant must be 1 or 2, got {variant!r}"

@@ -38,7 +38,6 @@ from tpfact.schemes import (
     parse_scheme,
     seed_scheme,
     walk_word_count,
-    _chamber_sets,
     _crossing_key,
     _labels,
 )
@@ -71,9 +70,14 @@ def all_schemes_of_type(u, v):
     return out
 
 
+def chambers(scheme):
+    # every chamber of the arrangement, by level, then left to right
+    return [c for level in build_arrangement(scheme) for c in level]
+
+
 def reference_key(scheme):
     # the isotopy key read off a full arrangement
-    return tuple(sorted(c.sets for c in build_arrangement(scheme).chambers))
+    return tuple(sorted(c.sets for c in chambers(scheme)))
 
 
 def reference_enumerate(u, v):
@@ -203,8 +207,8 @@ def test_validation_refuses_a_bool_h_index():
 
 
 def test_running_example_chambers():
-    arr = build_arrangement(parse_scheme(RUNNING))
-    lv1 = [(c.sets, c.type) for c in arr.chambers_at_level(1)]
+    levels = build_arrangement(parse_scheme(RUNNING))
+    lv1 = [(c.sets, c.type) for c in levels[1]]
     assert lv1 == [
         ((((3,), (1,))), "EE"),
         ((((3,), (2,))), "EF"),
@@ -212,14 +216,14 @@ def test_running_example_chambers():
         ((((2,), (4,))), "EF"),
         ((((1,), (4,))), "FF"),
     ]
-    lv2 = [(c.sets, c.type) for c in arr.chambers_at_level(2)]
+    lv2 = [(c.sets, c.type) for c in levels[2]]
     assert lv2 == [
         ((((3, 4), (1, 2))), "EF"),
         ((((2, 3), (1, 2))), "FE"),
         ((((2, 3), (2, 4))), "EF"),
         ((((1, 2), (2, 4))), "FF"),
     ]
-    lv3 = [c.sets for c in arr.chambers_at_level(3)]
+    lv3 = [c.sets for c in levels[3]]
     assert lv3 == [
         ((2, 3, 4), (1, 2, 3)),
         ((1, 2, 3), (1, 2, 3)),
@@ -229,14 +233,13 @@ def test_running_example_chambers():
 
 def test_border_chambers():
     sch = parse_scheme(RUNNING)
-    arr = build_arrangement(sch)
-    bottom = arr.chambers_at_level(0)[0]
-    top = arr.chambers_at_level(4)[0]
+    levels = build_arrangement(sch)
+    [bottom], [top] = levels[0], levels[4]
     assert (bottom.start, bottom.end, bottom.type) == (0, 14, "EF")
     assert bottom.sets == ((), ())
     assert top.sets == ((1, 2, 3, 4), (1, 2, 3, 4))
     # one chamber per word symbol plus the empty bottom chamber
-    assert len(arr.chambers) == sch.length + 1
+    assert len(chambers(sch)) == sch.length + 1
 
 
 def test_running_example_family():
@@ -386,18 +389,21 @@ def test_enumerate_matches_shuffle_oracle_small():
         assert {node.key for node in graph.nodes} == keys
 
 
-def assert_chambers_tile_levels(scheme, chambers):
-    # by level, then left to right; each level's spans tile [0, l+1],
-    # bounded by the symbols at their ends (E left border, F right border)
+def assert_chambers_tile_levels(scheme, levels):
+    # levels[k] holds the level-k chambers, left to right; each level's
+    # spans tile [0, l+1], bounded by the symbols at their ends (E left
+    # border, F right border)
     l = scheme.length
-    assert [c.level for c in chambers] == sorted(c.level for c in chambers)
+    assert len(levels) == scheme.n + 1
     kind_at = [E] + [sym.kind for sym in scheme.word] + [F]
-    for level in range(scheme.n + 1):
-        spans = [(c.start, c.end) for c in chambers if c.level == level]
+    for level, row in enumerate(levels):
+        assert {c.level for c in row} == {level}
+        spans = [(c.start, c.end) for c in row]
         ends = [a for a, _ in spans[1:]] + [l + 1]
         assert spans[0][0] == 0 and [b for _, b in spans] == ends
-    for c in chambers:
-        assert (c.left_kind, c.right_kind) == (kind_at[c.start], kind_at[c.end])
+        for c in row:
+            assert (c.left_kind, c.right_kind) == (kind_at[c.start],
+                                                   kind_at[c.end])
 
 
 @pytest.fixture(scope="module")
@@ -413,12 +419,11 @@ def test_enumerate_matches_shuffle_oracle_open_gl3(open_gl3_schemes):
     keys = [isotopy_key(s) for s in schemes]
     assert keys == [reference_key(s) for s in schemes]
     for s in schemes:
-        chambers = build_arrangement(s).chambers
-        assert_chambers_tile_levels(s, chambers)
+        assert_chambers_tile_levels(s, build_arrangement(s))
         u, vinv = s.u, s.v.inverse()
         assert chamber_minor_family(s) == [
             (u.apply(c.row_set), vinv.apply(c.col_set))
-            for c in chambers if c.level]
+            for c in chambers(s) if c.level]
     graph = enumerate_isotopy_types(w0, w0)
     assert len(set(keys)) == 34
     assert {node.key for node in graph.nodes} == set(keys)
@@ -435,9 +440,12 @@ def applied(scheme, kind, p):
 def assert_matches_reference_rules(scheme):
     # the chamber table, key, family and moves against the line-state and
     # one-predicate-per-move oracles, with apply_move tried at every kind
-    # and every position, negative and past-the-end ones included
+    # and every position, negative and past-the-end ones included; each
+    # chamber's end and bounding kinds against the word
     n, word = scheme.n, scheme.word
-    assert _chamber_sets(n, word) == reference.chamber_sets(n, word)
+    assert_chambers_tile_levels(scheme, build_arrangement(scheme))
+    assert [(c.level, c.start, c.row_set, c.col_set)
+            for c in chambers(scheme)] == reference.chamber_sets(n, word)
     assert isotopy_key(scheme) == reference.isotopy_key(scheme)
     assert (chamber_minor_family(scheme)
             == reference.chamber_minor_family(scheme))
@@ -478,9 +486,6 @@ def test_open_n30_seed_scheme_matches_reference_rules():
     w0 = Permutation.longest_element(30)
     scheme = seed_scheme(w0, w0)
     assert_matches_reference_rules(scheme)
-    assert [(c.level, c.start, c.row_set, c.col_set)
-            for c in build_arrangement(scheme).chambers] == (
-        reference.chamber_sets(30, scheme.word))
     # the label cache is bounded: nothing grows with 2^n
     assert _labels.cache_info().maxsize is not None
 

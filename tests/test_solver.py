@@ -58,18 +58,18 @@ def test_gl2_closed_form():
 
 
 def test_big_chamber_layout():
-    arr = build_arrangement(parse_scheme(RUNNING))
-    f2 = big_chambers(arr, "F", 2)
+    sch = parse_scheme(RUNNING)
+    f2 = big_chambers(sch, "F", 2)
     assert [(b.start, b.end) for b in f2] == [(0, 1), (1, 9), (9, 14)]
-    f3 = big_chambers(arr, "F", 3)
+    f3 = big_chambers(sch, "F", 3)
     assert [(b.start, b.end) for b in f3] == [(0, 4), (4, 14)]
-    e1 = big_chambers(arr, "E", 1)
+    e1 = big_chambers(sch, "E", 1)
     assert [(b.start, b.end) for b in e1] == [(0, 2), (2, 10), (10, 14)]
 
 
 def test_t9_end_monomials():
     sch = parse_scheme(RUNNING)
-    arr = build_arrangement(sch)
+    levels = build_arrangement(sch)
     rng = random.Random(31)
     vals = rand_vals(13, rng)
     x = product(sch, vals)
@@ -78,23 +78,23 @@ def test_t9_end_monomials():
     def m(rows, cols):
         return minor(xp, rows, cols)
 
-    above = next(b for b in big_chambers(arr, "F", 3) if b.start < 9 < b.end)
-    below = next(b for b in big_chambers(arr, "F", 1) if b.start < 9 < b.end)
-    left = next(b for b in big_chambers(arr, "F", 2) if b.end == 9)
-    right = next(b for b in big_chambers(arr, "F", 2) if b.start == 9)
+    above = next(b for b in big_chambers(sch, "F", 3) if b.start < 9 < b.end)
+    below = next(b for b in big_chambers(sch, "F", 1) if b.start < 9 < b.end)
+    left = next(b for b in big_chambers(sch, "F", 2) if b.end == 9)
+    right = next(b for b in big_chambers(sch, "F", 2) if b.start == 9)
 
-    assert big_chamber_monomial(arr, xp, above, "right") == m((1, 2, 3), (1, 2, 4))
-    assert big_chamber_monomial(arr, xp, left, "right") == m((2, 3), (2, 4))
-    assert (big_chamber_monomial(arr, xp, right, "left")
+    assert big_chamber_monomial(levels, xp, above, "right") == m((1, 2, 3), (1, 2, 4))
+    assert big_chamber_monomial(levels, xp, left, "right") == m((2, 3), (2, 4))
+    assert (big_chamber_monomial(levels, xp, right, "left")
             == m((1, 2), (2, 4)) * m((2, 3), (1, 2))
             / (m((2, 3), (2, 4)) * m((3, 4), (1, 2))))
-    assert (big_chamber_monomial(arr, xp, below, "left")
+    assert (big_chamber_monomial(levels, xp, below, "left")
             == m((2,), (2,)) / m((3,), (2,)))
 
-    t9 = (big_chamber_monomial(arr, xp, above, "right")
-          * big_chamber_monomial(arr, xp, below, "left")
-          / big_chamber_monomial(arr, xp, left, "right")
-          / big_chamber_monomial(arr, xp, right, "left"))
+    t9 = (big_chamber_monomial(levels, xp, above, "right")
+          * big_chamber_monomial(levels, xp, below, "left")
+          / big_chamber_monomial(levels, xp, left, "right")
+          / big_chamber_monomial(levels, xp, right, "left"))
     assert t9 == vals[8]
 
 
@@ -114,20 +114,20 @@ def test_t9_closed_form_in_x():
 
 def test_pi_monomials():
     sch = parse_scheme(RUNNING)
-    arr = build_arrangement(sch)
+    levels = build_arrangement(sch)
     rng = random.Random(33)
     vals = rand_vals(13, rng)
     x = product(sch, vals)
     xp = twist(x, sch.u, sch.v)
-    assert pi_monomial(arr, xp, 0) == 1
-    assert pi_monomial(arr, xp, 2) == (
+    assert pi_monomial(levels, xp, 0) == 1
+    assert pi_monomial(levels, xp, 2) == (
         minor(xp, (2, 3), (1, 2))
         / (minor(xp, (3, 4), (1, 2)) * minor(xp, (2, 3), (2, 4))))
     # diagonal scalings come from consecutive level monomial ratios
     t = solve(sch, x)
     for line, pos in ((1, 8), (2, 12), (3, 3), (4, 11)):
-        assert t[pos - 1] == (pi_monomial(arr, xp, line)
-                              / pi_monomial(arr, xp, line - 1))
+        assert t[pos - 1] == (pi_monomial(levels, xp, line)
+                              / pi_monomial(levels, xp, line - 1))
 
 
 def test_round_trip_running_example():
@@ -188,7 +188,7 @@ def test_solve_boundary_minor_vanishes():
 
 def test_inverse_ansatz_running_example():
     sch = parse_scheme(RUNNING)
-    arr = build_arrangement(sch)
+    levels = build_arrangement(sch)
     rng = random.Random(37)
     for _ in range(10):
         t = rand_vals(13, rng)
@@ -198,10 +198,9 @@ def test_inverse_ansatz_running_example():
         assert len(values) == sch.length + 1
         for chamber, val in values.items():
             assert minor(xp, chamber.row_set, chamber.col_set) == val
-    ch31 = next(c for c in arr.chambers_at_level(1) if c.sets == ((3,), (1,)))
-    ch123 = next(c for c in arr.chambers_at_level(3)
-                 if c.sets == ((1, 2, 3), (1, 2, 4)))
-    top = arr.chambers_at_level(4)[0]
+    ch31 = next(c for c in levels[1] if c.sets == ((3,), (1,)))
+    ch123 = next(c for c in levels[3] if c.sets == ((1, 2, 3), (1, 2, 4)))
+    [top] = levels[4]
     assert values[ch31] == 1 / (t[1] * t[5])
     assert values[ch123] == 1 / (t[0] * t[3] * t[7] * t[11])
     assert values[top] == 1 / det(x) == 1 / (t[2] * t[7] * t[10] * t[11])
@@ -229,7 +228,8 @@ def test_inverse_ansatz_other_schemes():
     for sch, t in cases:
         xp = twist(product(sch, t), *sch.cell_type)
         values = chamber_values_from_parameters(sch, t)
-        assert list(values) == build_arrangement(sch).chambers
+        assert list(values) == [c for level in build_arrangement(sch)
+                                for c in level]
         for chamber, val in values.items():
             assert minor(xp, chamber.row_set, chamber.col_set) == val
 
@@ -272,7 +272,7 @@ def chamber_minors_nonzero(scheme, x):
     except (WrongCell, DecompositionFailure):
         return False
     return all(minor(xp, c.row_set, c.col_set) != 0
-               for c in build_arrangement(scheme).chambers)
+               for level in build_arrangement(scheme) for c in level)
 
 
 def assert_agrees_with_reference(scheme, x):
@@ -334,6 +334,22 @@ def test_solve_matches_reference_open_cells(n, walks):
         vals = rand_vals(sch.length, rng)
         for t in (vals, one_negated(vals, rng)):
             assert assert_agrees_with_reference(sch, product(sch, t)) == t
+
+
+def test_solve_matches_reference_on_a_sample_of_gl4_cells():
+    # a seeded sample of 24 of the 575 non-open GL_4 cells, not all of
+    # them; each seed scheme is walked 10 moves so bullets sit mid-word
+    rng = random.Random(45)
+    w0 = Permutation.longest_element(4)
+    cells = [(u, v) for u in all_permutations(4) for v in all_permutations(4)
+             if (u, v) != (w0, w0)]
+    for u, v in rng.sample(cells, 24):
+        seed = seed_scheme(u, v)
+        sch = random_walk(seed, 10, rng)
+        vals = rand_vals(sch.length, rng)
+        for t in (vals, one_negated(vals, rng)):
+            assert assert_agrees_with_reference(sch, product(sch, t)) == t
+            assert double_cell_of(product(seed, t)) == (u, v)
 
 
 def test_solve_evaluates_each_chamber_minor_once(monkeypatch):
