@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import Singular
+from .errors import Singular, SizeMismatch
 from .linalg import _first_zero_leading_minor, det, minor
 from .permutations import Permutation
 
 
 def in_bruhat_cell(x, w):
-    """Is x in the upper Bruhat cell of w?"""
+    """Is x in the upper Bruhat cell of w?  Both must share one size."""
+    if w.n != x.n:
+        raise SizeMismatch(f"matrix size {x.n} != permutation size {w.n}")
     if det(x) == 0:
         raise Singular("Bruhat decomposition needs an invertible matrix")
     n = x.n

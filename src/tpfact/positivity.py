@@ -43,7 +43,7 @@ def _all_index_pairs(n):
                 yield rows, cols
 
 
-def _cauchon_matrix(x, fails=None):
+def _cauchon_matrix(x, fails):
     """The deleting-derivations pass over x, as a list of rows.
 
     For (s, t) from (n, n) down in reverse lexicographic order, when the
@@ -51,19 +51,19 @@ def _cauchon_matrix(x, fails=None):
     a_ij with i < s and j < t.  A pivot in the first row or the first
     column has nothing above or left of it, so those are skipped.
 
-    `fails` makes the pass a sign test of every entry: it returns None
-    when `fails` holds for an entry of x, for a pivot when the pass
-    reaches it (no later step changes a_st), or for an entry of the
-    final first row or column (which holds no pivot).
+    The pass is also a sign test of every entry: it returns None when
+    `fails` holds for an entry of x, for a pivot when the pass reaches it
+    (no later step changes a_st), or for an entry of the final first row
+    or column (which holds no pivot).
     """
-    if fails and any(fails(value) for row in x.rows for value in row):
+    if any(fails(value) for row in x.rows for value in row):
         return None
     a = [list(row) for row in x.rows]
     for s in range(x.n - 1, 0, -1):
         pivot_row = a[s]
         for t in range(x.n - 1, 0, -1):
             pivot = pivot_row[t]
-            if fails and fails(pivot):
+            if fails(pivot):
                 return None
             if not pivot:
                 continue
@@ -71,7 +71,7 @@ def _cauchon_matrix(x, fails=None):
                 f = row[t] / pivot
                 if f:
                     row[:t] = [b - f * c for b, c in zip(row[:t], pivot_row)]
-    if fails and (any(map(fails, a[0])) or any(fails(row[0]) for row in a)):
+    if any(map(fails, a[0])) or any(fails(row[0]) for row in a):
         return None
     return a
 
@@ -168,10 +168,9 @@ def tnn_report(x):
     false one pays for the scan.  Past that, the greedy search's own
     first test of x is the verdict, so x takes one Cauchon pass.
     """
-    if _scans_by_order(x.n):
-        verdict = is_tnn(x)
-        return CriterionReport(verdict, None if verdict else first_negative_minor(x))
-    witness = _minimal_negative_minor(x)
+    if _scans_by_order(x.n) and is_tnn(x):
+        return CriterionReport(True)
+    witness = first_negative_minor(x)
     return CriterionReport(witness is None, witness)
 
 
@@ -199,7 +198,9 @@ def _family_report(x, family):
 
 
 def chamber_criterion(scheme, x):
-    """Positivity of the scheme's modified chamber minors."""
+    """Positivity of the scheme's modified chamber minors, once the
+    scheme is validated."""
+    scheme.validate()
     if x.n != scheme.n:
         raise SizeMismatch(f"matrix size {x.n} != scheme size {scheme.n}")
     return _family_report(x, chamber_minor_family(scheme))
@@ -265,6 +266,12 @@ def _check_variant(variant):
         raise ValidationError(f"variant must be 1 or 2, got {variant!r}")
 
 
+def _check_size(n):
+    """Refuse all but an int n >= 1, before any cache sees the value."""
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"size must be an int >= 1, got {n!r}")
+
+
 def fekete_scheme(n, variant):
     """Schemes whose chamber families are the two interval criteria.
 
@@ -274,6 +281,7 @@ def fekete_scheme(n, variant):
     unbarred letter immediately by its barred twin.  Bullets go at the
     end; the chamber family does not depend on where they sit.
     """
+    _check_size(n)
     _check_variant(variant)
     w0 = Permutation.longest_element(n)
     if variant == 1:
@@ -296,6 +304,7 @@ def fekete_families(n):
     chamber families: family1, the solid minors whose row or column
     interval contains 1; family2, those with min(rows) + max(cols) in
     {n, n+1}."""
+    _check_size(n)
     return list(_fekete_family(n, 1)), list(_fekete_family(n, 2))
 
 

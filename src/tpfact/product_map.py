@@ -30,22 +30,21 @@ def parameters(values, length):
 def product(scheme, values):
     """Multiply out the scheme at the given parameter vector.
 
-    Checks the parameter count, validates the scheme and rejects a zero
-    bullet parameter.  Then right-multiplies the identity rows by each
-    factor in place: e<i> adds t times column i to column i+1, f<i> adds
-    t times column i+1 to column i, h<j> scales column j by t, and a row
-    whose source entry is 0 is left as it is.
+    Checks the parameter count and validates the scheme.  Then
+    right-multiplies the identity rows by each factor in place: e<i> adds
+    t times column i to column i+1, f<i> adds t times column i+1 to
+    column i, h<j> scales column j by t (a zero t is rejected there), and
+    a row whose source entry is 0 is left as it is.
     """
     values = parameters(values, scheme.length)
     scheme.validate()
-    for sym, t in zip(scheme.word, values):
-        if sym.kind == H and t == 0:
-            raise ZeroDiagonal(f"{sym.token} requires a nonzero parameter")
     n = scheme.n
     zero, one = Fraction(0), Fraction(1)
     rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for sym, t in zip(scheme.word, values):
         if sym.kind == H:
+            if t == 0:
+                raise ZeroDiagonal(f"{sym.token} requires a nonzero parameter")
             j = sym.index - 1
             for row in rows:
                 if row[j]:
@@ -64,15 +63,15 @@ def product(scheme, values):
 def commute_h(scheme, values, position):
     """Swap an adjacent pair involving a circled symbol, fixing the product.
 
-    position is 1-based and names the left member of the pair.  The two
-    parameters swap places, and a crossing x_i passed by h<j> = h(s)
-    follows h x_i(t) = x_i(t s^p) h, p = <alpha_i, e_j> = [j = i] -
-    [j = i+1], with p negated for an f-crossing and negated again when
-    h<j> moves left.  Two bullets just swap.
+    position is a 1-based int (not a bool) and names the left member of
+    the pair.  The two parameters swap places, and a crossing x_i passed
+    by h<j> = h(s) follows h x_i(t) = x_i(t s^p) h, p = <alpha_i, e_j> =
+    [j = i] - [j = i+1], with p negated for an f-crossing and negated
+    again when h<j> moves left.  Two bullets just swap.
     """
     values = parameters(values, scheme.length)
-    if not 1 <= position <= scheme.length - 1:
-        raise BadToken(f"position {position} has no right neighbor")
+    if type(position) is not int or not 1 <= position <= scheme.length - 1:
+        raise BadToken(f"position {position!r} has no right neighbor")
     k = position - 1
     pair = scheme.word[k:k + 2]
     if any(sym.kind == H and t == 0 for sym, t in zip(pair, values[k:])):

@@ -304,14 +304,15 @@ def apply_move(scheme, move):
     """Apply a move, returning a new scheme of the same type.
 
     A move at p depends only on the symbols at p..p+2, so it is checked
-    against the moves of that window.
+    against the moves of that window.  A position that is not an int
+    (a bool included) applies nowhere.
     """
     kind, p = move
     word = tuple(scheme.word)
-    if p < 1 or (kind, 1) not in _moves(word[p - 1:p + 2]):
+    if type(p) is not int or p < 1 or (kind, 1) not in _moves(word[p - 1:p + 2]):
         if kind not in (TRIVIAL2, BRAID3, MIXED2):
             raise MoveNotApplicable(f"unknown move kind {kind!r}")
-        raise MoveNotApplicable(f"{kind} at {p} does not apply")
+        raise MoveNotApplicable(f"{kind} at {p!r} does not apply")
     a, b = word[p - 1:p + 1]
     moved = (b, a, b) if kind == BRAID3 else (b, a)
     return scheme._replace(word=word[:p - 1] + moved + word[p - 1 + len(moved):])

@@ -52,8 +52,9 @@ def solve(scheme, x):
     enough that every chamber minor of its twist is nonzero, which
     holds on the whole image of the product map over nonzero
     parameters.  Every parameter is a ratio of products of those
-    minors, so none comes out zero.
+    minors, so none comes out zero.  The scheme is validated first.
     """
+    scheme.validate()
     if x.n != scheme.n:
         raise SizeMismatch(f"matrix size {x.n} != scheme size {scheme.n}")
     u, v = scheme.cell_type

@@ -19,8 +19,9 @@ The column signs S of ubar = P S and S' of vibar = P' S' only rescale
 factors (L1 and D1 S are those of x^T P, S' L2 S' is that of P'^T x^T),
 so x' = d0 S D1^{-1} L1^{-1} P' L2 S' d0 with L1, D1 and L2 read off one
 elimination each of the permuted copies x^T P and P'^T x^T of x, and no
-U factor divided out.  One forward substitution applies L1^{-1} to the
-row permutation P' L2; D1, S, S' and d0 then scale rows and columns.
+U factor divided out.  The rows of P' L2, appended to those of x^T P,
+come out of its elimination as L1^{-1} P' L2; D1, S, S' and d0 then
+scale rows and columns.
 """
 
 from __future__ import annotations
@@ -54,28 +55,22 @@ def _twist_in_cell(x, u, v):
     # column j of x^T P is column i of x^T, row j of P'^T x^T is its row i
     left = [[col[i] for i, _ in ubar] for col in cols]
     right = [list(cols[i]) for i, _ in vibar]
-    for work in (left, right):
-        order = _first_zero_leading_minor(work, n)
-        if order:
-            raise DecompositionFailure("no Gaussian decomposition: leading "
-                                       f"principal minor of order {order} vanishes")
-    # row i of P' L2 is row j of L2 for the (i, s) of column j of vibar
+    right_order = _first_zero_leading_minor(right, n)
+    # row i of P' L2 is row j of L2 for the (i, s) of column j of vibar;
+    # appended to row i of x^T P, it comes out of the elimination that
+    # finds L1 and D1 as row i of L1^{-1} P' L2
     one, zero = Fraction(1), Fraction(0)
-    rows = [None] * n
     for j, (i, _) in enumerate(vibar):
-        rows[i] = right[j][:j] + [one] + [zero] * (n - 1 - j)
-    # forward substitution: row i of L1^{-1} P' L2
-    for i in range(1, n):
-        acc = rows[i]
-        for f, prev in zip(left[i][:i], rows):
-            if f:
-                acc = [a - f * b for a, b in zip(acc, prev)]
-        rows[i] = acc
+        left[i] += right[j][:j] + [one] + [zero] * (n - 1 - j)
+    order = _first_zero_leading_minor(left, n) or right_order
+    if order:
+        raise DecompositionFailure("no Gaussian decomposition: leading "
+                                   f"principal minor of order {order} vanishes")
     # d0 S scales row i by (-1)^i S_i, folded into its pivot; S' d0
     # scales column j by (-1)^j S'_j
     col_sign = [(-1) ** j * s for j, (_, s) in enumerate(vibar)]
     out = []
-    for i, (row, (_, s)) in enumerate(zip(rows, ubar)):
-        d = (-1) ** i * s * left[i][i]
-        out.append([a / d if t > 0 else -a / d for a, t in zip(row, col_sign)])
+    for i, (row, (_, s)) in enumerate(zip(left, ubar)):
+        d = (-1) ** i * s * row[i]
+        out.append([a / d if t > 0 else -a / d for a, t in zip(row[n:], col_sign)])
     return Matrix(out)

@@ -10,7 +10,7 @@ from reference import (all_permutations, in_G0, leading_principal_minors,
                        reference_in_bruhat_cell)
 from tpfact import bruhat, linalg
 from tpfact.bruhat import bruhat_cell_of, double_cell_of, in_bruhat_cell
-from tpfact.errors import Singular
+from tpfact.errors import Singular, SizeMismatch
 from tpfact.linalg import Matrix, _first_zero_leading_minor, det
 from tpfact.permutations import Permutation, signed_representative
 from tpfact.product_map import product
@@ -189,6 +189,14 @@ def test_singular_matrix_rejected():
             in_bruhat_cell(x, w)
     with pytest.raises(Singular):
         double_cell_of(mat([[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("w", [(1, 2, 3, 4), (4, 3, 2, 1), (2, 1)])
+def test_in_bruhat_cell_refuses_a_permutation_of_another_size(w):
+    x = mat([[1, 1, 0], [1, 2, 1], [0, 1, 1]])
+    with pytest.raises(SizeMismatch,
+                       match=f"^matrix size 3 != permutation size {len(w)}$"):
+        in_bruhat_cell(x, Permutation(w))
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -40,6 +40,11 @@ def mat(rows):
     return Matrix(tuple(tuple(Fraction(e) for e in row) for row in rows))
 
 
+def never(value):
+    """A sign test that no entry fails: _cauchon_matrix runs the full pass."""
+    return False
+
+
 def rand_matrix(n, rng):
     return Matrix(tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                               for _ in range(n)) for _ in range(n)))
@@ -166,7 +171,7 @@ def test_sign_test_on_every_cauchon_diagram(n, count):
               else Fraction(rng.randint(1, 9), rng.randint(1, 5))
               for j in range(n)] for i in range(n)]
         x = restore(c)
-        assert _cauchon_matrix(x) == c, black
+        assert _cauchon_matrix(x, never) == c, black
         assert is_tnn(x), black
         assert is_tp(x) == (not black), black
         white = [(i, j) for i in range(n) for j in range(n)
@@ -247,7 +252,7 @@ def test_first_negative_minor_past_the_scan_bound_is_greedy():
 
 
 def cauchon_zeros(x):
-    return frozenset((i, j) for i, row in enumerate(_cauchon_matrix(x))
+    return frozenset((i, j) for i, row in enumerate(_cauchon_matrix(x, never))
                      for j, value in enumerate(row) if not value)
 
 
@@ -462,6 +467,17 @@ def test_fekete_rejects_other_variants(variant):
         fekete_criterion(x, variant)
     with pytest.raises(ValidationError, match=re.escape(message)):
         fekete_scheme(3, variant)
+
+
+# a bool counts as no size, and fekete_families(True) would otherwise
+# hit the cached n = 1 families
+@pytest.mark.parametrize("n", [True, 0, -1, 2.0, "2", None])
+def test_fekete_rejects_other_sizes(n):
+    message = f"size must be an int >= 1, got {n!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        fekete_families(n)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        fekete_scheme(n, 1)
 
 
 def test_criterion_report_json():

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from reference import all_permutations, elementary, reference_commute_h
-from tpfact.errors import (ArityMismatch, BadToken, NotReducedE, NotReducedF,
-                           PreconditionError, ValidationError, ZeroDiagonal)
+from tpfact.errors import (ArityMismatch, BadToken, MoveNotApplicable,
+                           NotReducedE, NotReducedF, PreconditionError,
+                           ValidationError, ZeroDiagonal)
 from tpfact.linalg import Matrix
 from tpfact.product_map import commute_h, product
-from tpfact.schemes import (FactorizationScheme, SchemeSymbol, apply_move,
-                            available_moves, parse_scheme, seed_scheme)
+from tpfact.schemes import (FactorizationScheme, Move, SchemeSymbol,
+                            apply_move, available_moves, parse_scheme,
+                            seed_scheme)
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
 
@@ -42,6 +44,9 @@ def test_product_arity():
                                   SchemeSymbol("H", 2)))
     with pytest.raises(BadToken):
         product(raw, [Fraction(1)] * 3)
+    # a zero bullet is only looked at once the scheme is valid
+    with pytest.raises(BadToken):
+        product(raw, [Fraction(0)] * 3)
     # product validates the whole scheme: reducedness and index types too
     for text, error in (("e1 e1 h1 h2", NotReducedE), ("f1 f1 h1 h2", NotReducedF)):
         bad = FactorizationScheme(2, tuple(map(SchemeSymbol.parse, text.split())))
@@ -55,6 +60,17 @@ def test_product_arity():
                  lambda: commute_h(sch, [0] * 5, 1)):
         with pytest.raises(ArityMismatch, match="parameters for a length-"):
             call()
+
+
+@pytest.mark.parametrize("position", [True, 1.0, "1", None])
+def test_move_positions_must_be_ints(position):
+    # True and 1.0 equal 1, but only an int names a word position
+    sch = parse_scheme("h1 f1 h2 e1")
+    with pytest.raises(BadToken, match="has no right neighbor"):
+        commute_h(sch, [Fraction(1)] * 4, position)
+    with pytest.raises(MoveNotApplicable, match="does not apply"):
+        apply_move(sch, Move("trivial2", position))
+    assert str(apply_move(sch, Move("trivial2", 1))) == "f1 h1 h2 e1"
 
 
 def rand_vals(length, rng):

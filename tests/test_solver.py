@@ -14,12 +14,15 @@ from reference import (
     reference_solve,
 )
 from tpfact.bruhat import double_cell_of
-from tpfact.errors import (ArityMismatch, DecompositionFailure, SizeMismatch,
-                           WrongCell, ZeroMinor)
+from tpfact.errors import (ArityMismatch, BadHPart, DecompositionFailure,
+                           NotReducedE, SizeMismatch, WrongCell, ZeroMinor)
 from tpfact.linalg import Matrix, det, minor
 from tpfact.permutations import Permutation
+from tpfact.positivity import chamber_criterion
 from tpfact.product_map import product
 from tpfact.schemes import (
+    FactorizationScheme,
+    SchemeSymbol,
     apply_move,
     available_moves,
     build_arrangement,
@@ -176,6 +179,19 @@ def test_solve_refuses_a_matrix_of_another_size():
     # matrix with the scheme's permutations
     with pytest.raises(SizeMismatch, match=r"^matrix size 2 != scheme size 3$"):
         solve(parse_scheme("h1 f1 h2 e1 h3"), Matrix.identity(2))
+
+
+@pytest.mark.parametrize("text, error", [("e1 e1 h1 h2", NotReducedE),
+                                         ("e1 h1", BadHPart)])
+def test_solve_and_chamber_criterion_validate_the_scheme(text, error):
+    # a scheme built without make is validated as product validates it:
+    # the first is not a WrongCell, neither gets a verdict
+    bad = FactorizationScheme(2, tuple(map(SchemeSymbol.parse, text.split())))
+    x = Matrix([[2, 1], [1, 1]])
+    with pytest.raises(error):
+        solve(bad, x)
+    with pytest.raises(error):
+        chamber_criterion(bad, x)
 
 
 def test_solve_boundary_minor_vanishes():

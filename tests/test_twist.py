@@ -257,6 +257,9 @@ def test_twist_round_trip_on_open_cell_n10():
     ([[1, 0], [0, 1]], "21", "21", 1),             # x^T ubar fails
     ([[1, 0], [1, 1]], "12", "21", 1),             # vibar^T x^T fails
     ([[1, 1, 0], [1, 1, 1], [0, 1, 0]], "123", "123", 2),
+    # both fail, at different orders: the left factor's order is named
+    ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], "123", "321", 1),  # right fails at 2
+    ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], "321", "123", 2),  # right fails at 1
 ])
 def test_twist_in_cell_wrong_cell_names_vanishing_minor(rows, u, v, order):
     x = mat(rows)
