@@ -12,6 +12,12 @@ from .errors import IndexOutOfRange, ValidationError
 from .linalg import Matrix
 
 
+def check_size(n):
+    """Refuse all but an int n >= 1, before any cache sees the value."""
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"size must be an int >= 1, got {n!r}")
+
+
 class Permutation:
     __slots__ = ("oneline",)
 
@@ -27,6 +33,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n):
+        check_size(n)
         return cls(range(1, n + 1))
 
     @classmethod
@@ -41,6 +48,7 @@ class Permutation:
 
     @classmethod
     def longest_element(cls, n):
+        check_size(n)
         return cls(range(n, 0, -1))
 
     @classmethod

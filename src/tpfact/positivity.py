@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import SizeMismatch, TooMuchWork, ValidationError
 from .linalg import Matrix, minor, scalar_to_str
-from .permutations import Permutation
+from .permutations import Permutation, check_size
 from .schemes import (E, F, H, FactorizationScheme, SchemeSymbol,
                       chamber_minor_family, enumerate_isotopy_types,
                       seed_scheme)
@@ -198,12 +198,12 @@ def _family_report(x, family):
 
 
 def chamber_criterion(scheme, x):
-    """Positivity of the scheme's modified chamber minors, once the
-    scheme is validated."""
-    scheme.validate()
+    """Positivity of the scheme's modified chamber minors; the family
+    checks the scheme, before the matrix size."""
+    family = chamber_minor_family(scheme)
     if x.n != scheme.n:
         raise SizeMismatch(f"matrix size {x.n} != scheme size {scheme.n}")
-    return _family_report(x, chamber_minor_family(scheme))
+    return _family_report(x, family)
 
 
 def w_chamber_sets(w):
@@ -266,12 +266,6 @@ def _check_variant(variant):
         raise ValidationError(f"variant must be 1 or 2, got {variant!r}")
 
 
-def _check_size(n):
-    """Refuse all but an int n >= 1, before any cache sees the value."""
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"size must be an int >= 1, got {n!r}")
-
-
 def fekete_scheme(n, variant):
     """Schemes whose chamber families are the two interval criteria.
 
@@ -281,9 +275,8 @@ def fekete_scheme(n, variant):
     unbarred letter immediately by its barred twin.  Bullets go at the
     end; the chamber family does not depend on where they sit.
     """
-    _check_size(n)
-    _check_variant(variant)
     w0 = Permutation.longest_element(n)
+    _check_variant(variant)
     if variant == 1:
         return seed_scheme(w0, w0)
     symbols = [SchemeSymbol(kind, i)
@@ -304,7 +297,7 @@ def fekete_families(n):
     chamber families: family1, the solid minors whose row or column
     interval contains 1; family2, those with min(rows) + max(cols) in
     {n, n+1}."""
-    _check_size(n)
+    check_size(n)
     return list(_fekete_family(n, 1)), list(_fekete_family(n, 2))
 
 

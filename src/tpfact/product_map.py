@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import ArityMismatch, BadToken, ZeroDiagonal
 from .linalg import Matrix, exact_scalar
-from .schemes import E, F, H, FactorizationScheme
+from .schemes import E, H, FactorizationScheme
 
 
 def parameters(values, length):
@@ -61,7 +61,8 @@ def product(scheme, values):
 
 
 def commute_h(scheme, values, position):
-    """Swap an adjacent pair involving a circled symbol, fixing the product.
+    """Swap an adjacent pair involving a circled symbol of a checked
+    scheme, fixing the product.
 
     position is a 1-based int (not a bool) and names the left member of
     the pair.  The two parameters swap places, and a crossing x_i passed
@@ -69,6 +70,7 @@ def commute_h(scheme, values, position):
     [j = i] - [j = i+1], with p negated for an f-crossing and negated
     again when h<j> moves left.  Two bullets just swap.
     """
+    scheme.validate()
     values = parameters(values, scheme.length)
     if type(position) is not int or not 1 <= position <= scheme.length - 1:
         raise BadToken(f"position {position!r} has no right neighbor")
@@ -78,7 +80,7 @@ def commute_h(scheme, values, position):
         raise ZeroDiagonal("circled symbols require nonzero parameters")
     left, right = pair
     kinds = {left.kind, right.kind}
-    if H not in kinds or not kinds <= {E, F, H}:
+    if H not in kinds:
         raise BadToken(
             f"pair ({left.token}, {right.token}) has no circled symbol")
 

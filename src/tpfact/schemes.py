@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .errors import (BadHPart, BadToken, MoveNotApplicable, NotReducedE,
                      NotReducedF, SizeMismatch, TooMuchWork)
-from .permutations import Permutation
+from .permutations import Permutation, check_size
 
 E, F, H = "E", "F", "H"
 
@@ -55,7 +55,7 @@ class SchemeSymbol(NamedTuple):
 
 
 class FactorizationScheme(NamedTuple):
-    """A validated scheme word over GL_n."""
+    """A scheme word over GL_n; make() and each read of its cell check it."""
 
     n: int
     word: tuple
@@ -68,52 +68,29 @@ class FactorizationScheme(NamedTuple):
         return scheme
 
     def validate(self):
-        n = self.n
-        h_indices = []
+        """Check the scheme, returning its (u, v, v^-1).  n and the indices
+        must be ints here: True and 1.0 hash as 1, so the cache cannot tell."""
+        check_size(self.n)
         for sym in self.word:
             if type(sym.index) is not int:
                 raise BadToken(f"symbol {sym!r} has a non-integer index")
-            if sym.kind == H:
-                if not 1 <= sym.index <= n:
-                    raise BadHPart(f"h-index {sym.index} outside [1, {n}]")
-                h_indices.append(sym.index)
-            elif sym.kind not in (E, F):
-                raise BadToken(f"unknown symbol kind {sym.kind!r} in {sym!r}")
-            elif not 1 <= sym.index <= n - 1:
-                raise BadToken(
-                    f"{sym.token} has level outside [1, {n - 1}] for n={n}")
-        if sorted(h_indices) != list(range(1, n + 1)):
-            raise BadHPart(
-                f"h-part {h_indices} is not a permutation of 1..{n}")
-        u, v, _ = _cell_permutations(n, self.word)
-        for name, word, w, error in (("e", self.e_subword, v, NotReducedE),
-                                     ("f", self.f_subword, u, NotReducedF)):
-            if len(word) != w.length():
-                raise error(f"{name}-subword {word} is not reduced")
+        return _cell_permutations(self.n, tuple(self.word))
 
     @property
     def length(self):
         return len(self.word)
 
     @property
-    def e_subword(self):
-        return tuple(s.index for s in self.word if s.kind == E)
-
-    @property
-    def f_subword(self):
-        return tuple(s.index for s in self.word if s.kind == F)
-
-    @property
     def u(self):
-        return _cell_permutations(self.n, self.word)[0]
+        return self.validate()[0]
 
     @property
     def v(self):
-        return _cell_permutations(self.n, self.word)[1]
+        return self.validate()[1]
 
     @property
     def cell_type(self):
-        return _cell_permutations(self.n, self.word)[:2]
+        return self.validate()[:2]
 
     def h_position(self, line):
         """Word position of the bullet on the given horizontal line."""
@@ -128,14 +105,32 @@ class FactorizationScheme(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _cell_permutations(n, word):
-    """(u, v, v^-1) of a scheme word, read off its subwords once per word
-    and shared: Permutation is immutable.  The reversed e-subword spells
-    v^-1.  An open-cell entry at n = 6 holds about 5 KB, the word
-    included, so the cache holds well under 1 MB."""
-    e = tuple([s.index for s in word if s.kind == E])
-    f = tuple([s.index for s in word if s.kind == F])
-    return (Permutation.from_word(n, f), Permutation.from_word(n, e),
-            Permutation.from_word(n, e[::-1]))
+    """The one scheme check, then (u, v, v^-1) read off the subwords, cached
+    together and shared (Permutation is immutable); failures are not.  An
+    open-cell entry at n = 6 holds about 5 KB, the word included, so the
+    cache holds well under 1 MB."""
+    e, f, h = [], [], []
+    for sym in word:
+        kind, i = sym
+        if kind == H:
+            if not 1 <= i <= n:
+                raise BadHPart(f"h-index {i} outside [1, {n}]")
+            h.append(i)
+        elif kind not in (E, F):
+            raise BadToken(f"unknown symbol kind {kind!r} in {sym!r}")
+        elif not 1 <= i <= n - 1:
+            raise BadToken(
+                f"{sym.token} has level outside [1, {n - 1}] for n={n}")
+        else:
+            (e if kind == E else f).append(i)
+    if sorted(h) != list(range(1, n + 1)):
+        raise BadHPart(f"h-part {h} is not a permutation of 1..{n}")
+    u, v = Permutation.from_word(n, f), Permutation.from_word(n, e)
+    for name, letters, w, error in (("e", e, v, NotReducedE),
+                                    ("f", f, u, NotReducedF)):
+        if len(letters) != w.length():
+            raise error(f"{name}-subword {tuple(letters)} is not reduced")
+    return u, v, v.inverse()
 
 
 def parse_scheme(text):
@@ -243,7 +238,7 @@ def chamber_minor_family(scheme):
     remaining l chambers are listed by level and then left to right.
     Labels lie in 1..n, so the one-line forms of u and v^-1 map them.
     """
-    u, _, vinv = _cell_permutations(scheme.n, scheme.word)
+    u, _, vinv = scheme.validate()
     u, vinv = u.oneline, vinv.oneline
     return [(tuple(sorted([u[j - 1] for j in c.row_set])),
              tuple(sorted([vinv[j - 1] for j in c.col_set])))
@@ -256,7 +251,8 @@ def isotopy_key(scheme):
     Bullets never bound a chamber, so the key depends only on n and the
     crossing subword.  Each such pair is swept once and its key shared
     through a cache bounded at 128 entries; one open-cell entry at n = 8
-    is about 11 KB, so the cache holds about 1.4 MB at most.
+    is about 11 KB, so the cache holds about 1.4 MB at most.  Unchecked: the
+    isotopy walk keys every word it reaches, and its moves keep words valid.
     """
     return _crossing_key(scheme.n, tuple([s for s in scheme.word if s.kind != H]))
 
@@ -301,12 +297,13 @@ def _moves(word):
 
 
 def apply_move(scheme, move):
-    """Apply a move, returning a new scheme of the same type.
+    """Apply a move to a checked scheme, returning one of the same type.
 
     A move at p depends only on the symbols at p..p+2, so it is checked
     against the moves of that window.  A position that is not an int
     (a bool included) applies nowhere.
     """
+    scheme.validate()
     kind, p = move
     word = tuple(scheme.word)
     if type(p) is not int or p < 1 or (kind, 1) not in _moves(word[p - 1:p + 2]):

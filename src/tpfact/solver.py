@@ -52,12 +52,12 @@ def solve(scheme, x):
     enough that every chamber minor of its twist is nonzero, which
     holds on the whole image of the product map over nonzero
     parameters.  Every parameter is a ratio of products of those
-    minors, so none comes out zero.  The scheme is validated first.
+    minors, so none comes out zero.  Reading the scheme's type checks the
+    scheme, before the matrix size.
     """
-    scheme.validate()
+    u, v = scheme.cell_type
     if x.n != scheme.n:
         raise SizeMismatch(f"matrix size {x.n} != scheme size {scheme.n}")
-    u, v = scheme.cell_type
     xprime = twist(x, u, v)
     # per level: chambers, their minors and the prefix products
     table = []

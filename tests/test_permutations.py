@@ -88,6 +88,16 @@ def test_apply_sorts_image():
     assert w.apply(()) == ()
 
 
+@pytest.mark.parametrize("n", [True, 0, -1, 2.0, "2", None])
+@pytest.mark.parametrize("build", [Permutation.identity,
+                                   Permutation.longest_element])
+def test_sizes_must_be_positive_ints(build, n):
+    # True gave (1,), 0 and -1 the empty permutation
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"size must be an int >= 1, got {n!r}")):
+        build(n)
+
+
 @pytest.mark.parametrize("oneline", [(2.7, 1.2), (2.0, 1), ("2", "1"),
                                      (True, 2), (2, None)])
 def test_entries_must_be_integers(oneline):

@@ -15,8 +15,13 @@ from tpfact.errors import (
     NotReducedF,
     SizeMismatch,
     TooMuchWork,
+    ValidationError,
 )
+from tpfact.identities import exchange_certificate
+from tpfact.linalg import Matrix
 from tpfact.permutations import Permutation
+from tpfact.positivity import chamber_criterion
+from tpfact.product_map import commute_h
 from tpfact.render import _line_states
 from tpfact.schemes import (
     BRAID3,
@@ -41,6 +46,7 @@ from tpfact.schemes import (
     _crossing_key,
     _labels,
 )
+from tpfact.solver import solve
 
 RUNNING = "f2 e1 h3 f3 e3 e2 f1 h1 f2 e1 h4 h2 f1"
 
@@ -194,6 +200,11 @@ def test_validation_errors():
                                     SchemeSymbol(H, None), SchemeSymbol(E, True)])
 def test_validation_names_a_non_integer_index(symbol):
     word = [symbol, SchemeSymbol(H, 1), SchemeSymbol(H, 2)]
+    # True and 1.0 equal and hash as 1: the int twin's cached verdict
+    # must not pass them
+    twin = [symbol._replace(index=1)] + word[1:]
+    if twin == word:
+        FactorizationScheme.make(2, twin)
     with pytest.raises(BadToken, match="non-integer index") as info:
         FactorizationScheme.make(2, word)
     assert repr(symbol) in str(info.value)
@@ -201,9 +212,44 @@ def test_validation_names_a_non_integer_index(symbol):
 
 def test_validation_refuses_a_bool_h_index():
     # True == 1 would complete the h-part, and print as hTrue, which
-    # parse_scheme refuses
+    # parse_scheme refuses, even with the verdict on h1 h2 cached
+    FactorizationScheme.make(2, (SchemeSymbol(H, 1), SchemeSymbol(H, 2)))
     with pytest.raises(BadToken, match="non-integer index"):
         FactorizationScheme.make(2, (SchemeSymbol(H, True), SchemeSymbol(H, 2)))
+
+
+@pytest.mark.parametrize("n, word", [(0, ()), (-1, ()), (True, ("h1",)),
+                                     (2.0, ("h1", "h2"))])
+def test_make_refuses_other_sizes(n, word):
+    with pytest.raises(ValidationError, match="size must be an int >= 1"):
+        FactorizationScheme.make(n, map(SchemeSymbol.parse, word))
+
+
+@pytest.mark.parametrize("text, error", [("e1 e1 h1 h2", NotReducedE),
+                                         ("e1 h1 h1", BadHPart)])
+@pytest.mark.parametrize("read", [
+    chamber_minor_family,
+    lambda s: apply_move(s, Move(TRIVIAL2, 1)),
+    lambda s: commute_h(s, [1] * s.length, 1),
+    lambda s: exchange_certificate(s, Move(MIXED2, 1)),
+    lambda s: solve(s, Matrix.identity(3)),
+    lambda s: chamber_criterion(s, Matrix.identity(3)),
+], ids=["chamber_minor_family", "apply_move", "commute_h",
+        "exchange_certificate", "solve", "chamber_criterion"])
+def test_readers_of_a_raw_scheme_check_it(read, text, error):
+    # a scheme built without make is checked where its cell is read, and
+    # before the 3x3 matrix's size is compared with the scheme's
+    with pytest.raises(error):
+        read(FactorizationScheme(2, tuple(map(SchemeSymbol.parse, text.split()))))
+
+
+def test_a_list_word_reads_as_its_tuple():
+    # the cache key is the word as a tuple, so a raw list word is checked
+    # and moved like its tuple
+    word = [SchemeSymbol.parse(t) for t in "h1 e1 h2".split()]
+    raw = FactorizationScheme(2, word)
+    assert raw.validate() == FactorizationScheme.make(2, word).validate()
+    assert str(apply_move(raw, Move(TRIVIAL2, 1))) == "e1 h1 h2"
 
 
 def test_running_example_chambers():
@@ -351,7 +397,9 @@ def test_seed_scheme_every_s3_cell():
     w0 = Permutation.longest_element(7)
     sch = seed_scheme(w0, w0)
     assert sch.cell_type == (w0, w0)
-    assert sch.e_subword == sch.f_subword == w0.lex_min_reduced_word()
+    for kind in (E, F):
+        assert (tuple(s.index for s in sch.word if s.kind == kind)
+                == w0.lex_min_reduced_word())
 
 
 def test_enumerate_gl2_open_cell():
@@ -476,6 +524,10 @@ def test_walked_schemes_match_reference_rules(n):
         scheme = seed_scheme(u, v)
         for _ in range(40):
             assert_matches_reference_rules(scheme)
+            # the one check returns the cached (u, v, v^-1)
+            cells = scheme.validate()
+            assert scheme.validate() is cells
+            assert cells == (scheme.u, scheme.v, scheme.v.inverse())
             assert _line_states(n, scheme.word) == reference.line_states(
                 n, scheme.word)
             scheme = apply_move(scheme, rng.choice(available_moves(scheme)))
